@@ -334,6 +334,15 @@ def parse_spec(text: str) -> NetworkSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(f"malformed document: {exc}") from exc
+    return parse_document(doc)
+
+
+def parse_document(doc) -> NetworkSpec:
+    """Parse an already decoded architecture document (see parse_spec).
+
+    Raises SchemaError, with the path of the offending field, exactly where
+    parse_spec would for the JSON text of ``doc``.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
     for key in doc:

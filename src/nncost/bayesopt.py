@@ -71,7 +71,6 @@ class GPParams:
 @dataclass
 class GPModel:
     X: np.ndarray
-    y_centered: np.ndarray
     y_mean: float
     signal_var: float
     length_scales: np.ndarray
@@ -149,7 +148,7 @@ def gp_fit(trials, params: GPParams | None = None) -> GPModel:
 
     alpha = cho_solve(yc)
     alpha += cho_solve(yc - Kj @ alpha)  # one refinement step
-    return GPModel(X=X, y_centered=yc, y_mean=y_mean, signal_var=signal_var,
+    return GPModel(X=X, y_mean=y_mean, signal_var=signal_var,
                    length_scales=ell, jitter=jitter, L=L, alpha=alpha)
 
 

@@ -24,14 +24,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import arch, bayesopt, costmodel, interp, quant
 from .arch import BitwidthConfig, NetworkSpec
-from .errors import DomainError, NNCostError
+from .errors import DomainError, NNCostError, SchemaError
 from .interp import fir_filter
+
+_METRICS = ("rm", "bop", "nabs")
+
+# Distinct architectures whose cost totals one SearchSpace remembers. A
+# float dimension makes every candidate distinct; past this many entries
+# new architectures are costed without being stored.
+_COST_MEMO_LIMIT = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -56,23 +64,33 @@ class Dimension:
             if not self.values:
                 raise ValueError("categorical dimension needs values")
         else:
-            if self.low is None or self.high is None or self.low > self.high:
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                   for v in (self.low, self.high)):
+                raise ValueError("range dimension needs numeric low and high")
+            if self.low > self.high:
                 raise ValueError("range dimension needs low <= high")
             if self.log and self.low <= 0:
                 raise ValueError("log scaling needs positive low")
 
-    def decode(self, u: float):
-        """Map a unit-interval coordinate to a concrete value."""
+    def _coordinate(self, u: float):
+        """Hashable decoded coordinate: the integer, the float value, or
+        the index into ``values`` (category values may be unhashable)."""
         u = min(max(float(u), 0.0), 1.0)
         if self.kind == "cat":
-            idx = min(int(u * len(self.values)), len(self.values) - 1)
-            return self.values[idx]
+            return min(int(u * len(self.values)), len(self.values) - 1)
         if self.kind == "int":
             lo, hi = int(self.low), int(self.high)
             return min(lo + int(u * (hi - lo + 1)), hi)
         if self.log:
             return float(self.low * (self.high / self.low) ** u)
         return float(self.low + u * (self.high - self.low))
+
+    def _value(self, coordinate):
+        return self.values[coordinate] if self.kind == "cat" else coordinate
+
+    def decode(self, u: float):
+        """Map a unit-interval coordinate to a concrete value."""
+        return self._value(self._coordinate(u))
 
 
 def _substitute(node, params: dict):
@@ -90,7 +108,15 @@ def _substitute(node, params: dict):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Dimensions plus a network template and an optional complexity budget."""
+    """Dimensions plus a network template and an optional complexity budget.
+
+    Cost totals are computed once per distinct decoded architecture (the
+    tuple of integer values, float values and category indices) and kept
+    for the life of the space. Budgets apply when the totals are looked
+    up, so every BO round, every budget of a sweep and every seed that
+    reuses the space shares them; results are the same as costing each
+    candidate afresh. At most ``_COST_MEMO_LIMIT`` architectures are kept.
+    """
 
     dimensions: tuple
     template: dict
@@ -98,6 +124,10 @@ class SearchSpace:
     budget: int | None = None
     bits: BitwidthConfig = field(default_factory=BitwidthConfig)
     scheme: quant.QuantScheme = field(default_factory=quant.FixedUniform)
+    # Decoded coordinates -> (rm, bop, nabs), or None for an architecture
+    # that failed to build or cost.
+    _costs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
@@ -110,45 +140,82 @@ class SearchSpace:
     def n_dims(self) -> int:
         return len(self.dimensions)
 
-    def decode(self, theta) -> dict:
+    def _key(self, theta) -> tuple:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.size != self.n_dims:
             raise DomainError(
                 f"theta has {theta.size} components, space has {self.n_dims}")
-        return {dim.name: dim.decode(u)
-                for dim, u in zip(self.dimensions, theta)}
+        return tuple(dim._coordinate(u)
+                     for dim, u in zip(self.dimensions, theta.tolist()))
+
+    def _params(self, key: tuple) -> dict:
+        return {dim.name: dim._value(c) for dim, c in zip(self.dimensions, key)}
+
+    def _network(self, key: tuple) -> NetworkSpec:
+        return arch.parse_document(_substitute(self.template,
+                                               self._params(key)))
+
+    def _totals(self, key: tuple) -> tuple | None:
+        """(rm, bop, nabs) of the architecture at ``key``; None if invalid."""
+        if key in self._costs:
+            return self._costs[key]
+        try:
+            report = costmodel.cost_report(self._network(key), self.bits,
+                                           self.scheme)
+            totals = (report.rm, report.bop, report.nabs)
+        except NNCostError:
+            totals = None
+        if len(self._costs) < _COST_MEMO_LIMIT:
+            self._costs[key] = totals
+        return totals
+
+    def decode(self, theta) -> dict:
+        return self._params(self._key(theta))
 
     def build_network(self, theta) -> NetworkSpec:
-        doc = _substitute(self.template, self.decode(theta))
-        return arch.parse_spec(json.dumps(doc))
-
-    def cost(self, theta) -> costmodel.CostReport:
-        return costmodel.cost_report(self.build_network(theta), self.bits,
-                                     self.scheme)
+        return self._network(self._key(theta))
 
     def feasible(self, theta, budget: int | None = None) -> bool:
         """Valid network within the budget (if any); errors mean infeasible."""
         limit = self.budget if budget is None else budget
         try:
-            report = self.cost(theta)
-        except NNCostError:
+            totals = self._totals(self._key(theta))
+        except DomainError:
+            return False
+        if totals is None:
             return False
         if limit is None:
             return True
-        return report.total(self.metric) <= limit
+        return totals[_METRICS.index(self.metric.lower())] <= limit
 
     @staticmethod
     def from_json(doc: dict) -> "SearchSpace":
+        """Space from its JSON document; SchemaError names a bad dimension."""
+        entries = doc["dimensions"]
+        if not isinstance(entries, list) or not entries:
+            raise SchemaError("dimensions", "must be a nonempty array")
         dims = []
-        for entry in doc["dimensions"]:
-            dims.append(Dimension(
-                name=entry["name"],
-                kind=entry["kind"],
-                low=entry.get("low"),
-                high=entry.get("high"),
-                values=tuple(entry["values"]) if "values" in entry else None,
-                log=bool(entry.get("log", False)),
-            ))
+        for i, entry in enumerate(entries):
+            path = f"dimensions[{i}]"
+            if not isinstance(entry, dict):
+                raise SchemaError(path, "dimension must be an object")
+            for name in ("name", "kind"):
+                if name not in entry:
+                    raise SchemaError(f"{path}.{name}", "missing field")
+            values = entry.get("values")
+            if values is not None and not isinstance(values, list):
+                raise SchemaError(f"{path}.values", "must be an array")
+            try:
+                dims.append(Dimension(
+                    name=entry["name"],
+                    kind=entry["kind"],
+                    low=entry.get("low"),
+                    high=entry.get("high"),
+                    values=tuple(values) if values is not None else None,
+                    log=bool(entry.get("log", False)),
+                ))
+            except ValueError as exc:
+                raise SchemaError(path, str(exc)) from exc
         constraint = doc.get("constraint", {})
         bits_doc = doc.get("bits", {})
         bits = BitwidthConfig(**bits_doc) if bits_doc else BitwidthConfig()
@@ -344,11 +411,13 @@ def make_objective(space: SearchSpace, task: Task, k: int = 3,
     """Objective closure mapping a cube point to (score, cost totals)."""
 
     def objective(theta):
-        net = space.build_network(theta)
-        report = costmodel.cost_report(net, space.bits, space.scheme)
+        key = space._key(theta)
+        net = space._network(key)
+        totals = space._totals(key)
+        if totals is None:  # raise the cost model's own error
+            costmodel.cost_report(net, space.bits, space.scheme)
         score = kfold_score(task, net, k=k, seed=eval_seed)
-        return score, {"rm": report.rm, "bop": report.bop,
-                       "nabs": report.nabs}
+        return score, dict(zip(_METRICS, totals))
 
     return objective
 

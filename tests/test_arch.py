@@ -132,6 +132,28 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_spec(json.dumps({"name": "m", "layers": [{}], "x": 1}))
 
+    def test_document_parser_matches_text_parser(self):
+        good = {"name": "m", "layers": [
+            {"type": "dense", "n_n": 8, "n_i": 4},
+            {"type": "esn", "n_i": 8, "N_r": 6, "s_p": 0.5, "n_o": 1,
+             "n_s": 3, "leak": 0.7}]}
+        assert arch.parse_document(good) == parse_spec(json.dumps(good))
+        bad_docs = [
+            [], {"layers": []}, {"name": 3, "layers": [{}]},
+            {"name": "m", "layers": [{"type": "dense", "n_n": 1}]},
+            {"name": "m", "layers": [{"type": "dense", "n_n": 1.5,
+                                      "n_i": 1}]},
+            {"name": "m", "layers": [{"type": "esn", "n_i": 2, "N_r": 8,
+                                      "s_p": 1.5, "n_o": 1, "n_s": 4}]},
+        ]
+        for doc in bad_docs:
+            with pytest.raises(SchemaError) as from_text:
+                parse_spec(json.dumps(doc))
+            with pytest.raises(SchemaError) as from_doc:
+                arch.parse_document(doc)
+            assert from_doc.value.path == from_text.value.path
+            assert str(from_doc.value) == str(from_text.value)
+
 
 def random_network(rng) -> NetworkSpec:
     layers = []

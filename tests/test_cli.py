@@ -121,6 +121,35 @@ class TestSearch:
         assert main(["search", space_file, task_file, "--iters", "1",
                      "--init", "1", "--budget-nabs", "0"]) == 4
 
+    @pytest.mark.parametrize("bad", [
+        {"name": "h", "kind": "int", "low": 8, "high": 1},
+        {"name": "h", "kind": "integer", "low": 1, "high": 8},
+        {"name": "h", "kind": "float", "low": 0.0, "high": 1.0, "log": True},
+        {"name": "h", "kind": "cat"},
+        {"name": "h", "kind": "int", "low": "1", "high": 8},
+    ])
+    def test_malformed_dimension_exit_2(self, bad, task_file, tmp_path,
+                                        capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({
+            "dimensions": [{"name": "w", "kind": "int", "low": 1, "high": 4},
+                           bad],
+            "template": {"name": "s", "layers": [
+                {"type": "dense", "n_n": "$h", "n_i": "$w"}]}}))
+        assert main(["search", str(path), task_file]) == 2
+        assert "error: dimensions[1]: " in capsys.readouterr().err
+
+    def test_missing_dimension_field_exit_2(self, task_file, tmp_path,
+                                            capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({
+            "dimensions": [{"name": "h", "low": 1, "high": 4}],
+            "template": {"name": "s", "layers": [
+                {"type": "dense", "n_n": "$h", "n_i": 1}]}}))
+        assert main(["sweep", str(path), task_file, "--budgets", "10"]) == 2
+        assert "error: dimensions[0].kind: missing field" in (
+            capsys.readouterr().err)
+
 
 class TestSweep:
     def test_byte_identical_reruns(self, space_file, task_file, tmp_path):

@@ -1,11 +1,15 @@
 """Search-space, cross-validation and sweep tests."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from nncost import bayesopt, costmodel, search
+from nncost import arch, bayesopt, costmodel, quant, search
 from nncost.arch import Dense, EchoState, NetworkSpec
-from nncost.errors import DomainError, InfeasibleSpace
+from nncost.cli import main
+from nncost.errors import DomainError, InfeasibleSpace, NNCostError
 from nncost.search import (Dimension, SearchSpace, Task, complexity_sweep,
                            evaluate_arch, featurize, kfold_score, kfold_split,
                            synth_task_fir, task_from_json)
@@ -21,6 +25,58 @@ def esn_space(budget=None, metric="nabs"):
         metric=metric,
         budget=budget,
     )
+
+
+def dense_space():
+    """The criterion-10 space: 64 Dense architectures under PoT(8)."""
+    return SearchSpace(
+        dimensions=(Dimension("h", "int", 1, 8), Dimension("w", "int", 1, 8)),
+        template={"name": "equalizer", "layers": [
+            {"type": "dense", "n_n": "$h", "n_i": "$w",
+             "activation": "tanh"}]},
+        metric="nabs",
+        scheme=quant.PoT(8),
+    )
+
+
+def conv_space(metric="nabs"):
+    """Kernels longer than n_s = 5 have zero width; "bogus" fails the schema."""
+    return SearchSpace(
+        dimensions=(Dimension("k", "int", 1, 8), Dimension("f", "int", 1, 4),
+                    Dimension("act", "cat", values=("tanh", "relu", "bogus"))),
+        template={"name": "c", "layers": [
+            {"type": "conv1d", "n_f": "$f", "n_i": 2, "n_k": "$k", "n_s": 5,
+             "activation": "$act"}]},
+        metric=metric,
+    )
+
+
+def fresh_totals(space, theta):
+    """Reference: cost one candidate through the JSON document, no memo."""
+    doc = search._substitute(space.template, space.decode(theta))
+    try:
+        report = costmodel.cost_report(arch.parse_spec(json.dumps(doc)),
+                                       space.bits, space.scheme)
+    except NNCostError:
+        return None
+    return {"rm": report.rm, "bop": report.bop, "nabs": report.nabs}
+
+
+def counted_cost_report(monkeypatch):
+    """Replace costmodel.cost_report by a wrapper; returns the nets it saw."""
+    seen = []
+    real = costmodel.cost_report
+
+    def counted(net, *args, **kwargs):
+        seen.append(net)
+        return real(net, *args, **kwargs)
+
+    monkeypatch.setattr(costmodel, "cost_report", counted)
+    return seen
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestKFold:
@@ -239,3 +295,84 @@ class TestSweep:
         assert header == ["iteration", "theta_res", "theta_leak", "score",
                           "nabs", "feasible"]
         assert len(text.splitlines()) == 1 + 3
+
+
+class TestCostMemo:
+    def test_sweep_costs_each_architecture_once(self, monkeypatch):
+        seen = counted_cost_report(monkeypatch)
+        task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
+        complexity_sweep(dense_space(), task, [100, 500, 2000, 10_000],
+                         iters=3, seed=0, n_init=3, k=3)
+        assert 0 < len(seen) <= 64
+        assert len({arch.serialize(net) for net in seen}) == len(seen)
+
+    def test_verdicts_match_fresh_cost_report(self):
+        thetas = np.random.default_rng(0).uniform(size=(2000, 3))
+        for space in (dense_space(), conv_space(metric="rm")):
+            for theta in thetas[:, :space.n_dims]:
+                fresh = fresh_totals(space, theta)
+                for budget in (None, 0, 20, 100, 500, 2000):
+                    expected = fresh is not None and (
+                        budget is None or fresh[space.metric] <= budget)
+                    assert space.feasible(theta, budget=budget) == expected
+
+    def test_objective_totals_match_fresh_cost_report(self):
+        space = conv_space()
+        task = synth_task_fir([1.0], 0.0, 30, seed=0)
+        objective = search.make_objective(space, task, k=3)
+        theta = np.array([0.2, 0.9, 0.5])
+        assert space.feasible(theta)
+        _, cost = objective(theta)
+        assert cost == fresh_totals(space, theta)
+
+    def test_zero_width_conv_infeasible_on_hit(self, monkeypatch):
+        seen = counted_cost_report(monkeypatch)
+        space = conv_space()
+        theta = np.array([0.99, 0.0, 0.0])
+        assert space.build_network(theta).layers[0].output_size == 0
+        assert not space.feasible(theta)
+        assert not space.feasible(theta)
+        assert not space.feasible(theta, budget=10 ** 9)
+        assert len(seen) == 1
+        objective = search.make_objective(space, synth_task_fir(
+            [1.0], 0.0, 30, seed=0), k=3)
+        with pytest.raises(NNCostError):
+            objective(theta)
+
+    def test_float_dimension_memo_capped(self, monkeypatch):
+        monkeypatch.setattr(search, "_COST_MEMO_LIMIT", 40)
+        space = esn_space()
+        for theta in np.random.default_rng(1).uniform(size=(300, 2)):
+            fresh = fresh_totals(space, theta)
+            assert space.feasible(theta, budget=20_000) == (
+                fresh["nabs"] <= 20_000)
+            assert len(space._costs) <= 40
+        assert len(space._costs) == 40
+
+    def test_criterion_10_sweep_csv_pinned(self):
+        task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
+        csv = complexity_sweep(dense_space(), task, [100, 500, 2000, 10_000],
+                               iters=3, seed=0, n_init=3, k=3).to_csv()
+        assert sha256(csv) == ("316267ce5b41af856ba530f85737d855"
+                               "dde297f2c1abc53bf894c560780d341a")
+
+    def test_search_history_csv_pinned(self, tmp_path):
+        space = tmp_path / "space.json"
+        task = tmp_path / "task.json"
+        out = tmp_path / "history.csv"
+        space.write_text(json.dumps({
+            "dimensions": [
+                {"name": "res", "kind": "int", "low": 2, "high": 24},
+                {"name": "leak", "kind": "float", "low": 0.2, "high": 1.0}],
+            "template": {"name": "s", "layers": [
+                {"type": "esn", "n_i": 3, "N_r": "$res", "s_p": 0.4,
+                 "n_o": 1, "n_s": 6, "leak": "$leak",
+                 "activation": "tanh"}]},
+            "constraint": {"metric": "nabs", "budget": 60000}}))
+        task.write_text(json.dumps({"taps": [0.8, 0.3], "noise_std": 0.05,
+                                    "n_samples": 60, "seed": 4}))
+        assert main(["search", str(space), str(task), "--iters", "3",
+                     "--init", "3", "--seed", "2", "-o", str(out)]) == 0
+        assert sha256(out.read_text()) == (
+            "2a7d39ead4ce47b798845efa9127da02"
+            "9470b4e41a5bc22268961e194034b949")
