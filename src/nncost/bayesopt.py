@@ -7,6 +7,11 @@ candidates by expected improvement over the incumbent best, evaluates the
 winner and repeats. Candidates failing the caller's feasibility constraint
 are discarded before ranking, so every evaluated point satisfies it.
 
+The constraint sees a whole pool at a time: ``constraint(pool)`` receives
+an (m, d) array of candidates and returns m booleans, one per row. Any
+other shape (a scalar from a per-point callable, a wrong length) or a
+non-boolean mask raises DomainError rather than being broadcast.
+
 Kernel: squared exponential with per-dimension length scales (default 0.3
 of the normalized range), signal variance set to the sample variance of the
 observed scores, and a 1e-8 diagonal jitter escalated tenfold up to 1e-4
@@ -194,27 +199,28 @@ def expected_improvement(mu, sigma, f_plus):
     return float(ei[0]) if scalar else ei
 
 
-def _draw_feasible(rng: np.random.Generator, n_dims: int, constraint,
-                   pools: int = 1) -> np.ndarray:
-    """Candidate pool(s) with infeasible points removed, original order kept."""
-    out = []
-    for _ in range(pools):
-        cands = rng.uniform(size=(N_CANDIDATES, n_dims))
-        if constraint is None:
-            out.append(cands)
-            continue
-        keep = np.fromiter((bool(constraint(c)) for c in cands),
-                           dtype=bool, count=N_CANDIDATES)
-        out.append(cands[keep])
-    return np.concatenate(out) if out else np.empty((0, n_dims))
+def _draw_feasible(rng: np.random.Generator, n_dims: int,
+                   constraint) -> np.ndarray:
+    """One candidate pool with infeasible points removed, order kept."""
+    cands = rng.uniform(size=(N_CANDIDATES, n_dims))
+    if constraint is None:
+        return cands
+    keep = np.asarray(constraint(cands))
+    if keep.shape != (N_CANDIDATES,) or keep.dtype != bool:
+        raise DomainError(
+            f"constraint must map a ({N_CANDIDATES}, {n_dims}) pool to "
+            f"{N_CANDIDATES} booleans, got shape {keep.shape} of {keep.dtype}")
+    return cands[keep]
 
 
 def propose_next(model: GPModel, space, f_plus: float, constraint=None,
                  seed=0) -> np.ndarray:
     """Highest-EI point among 2048 seeded uniform feasible candidates.
 
-    Ties break toward the earliest-drawn candidate. Raises InfeasibleSpace
-    when the whole pool fails the constraint.
+    ``constraint(pool)``, if given, maps the (2048, d) candidate pool to
+    2048 booleans and is called once. Ties break toward the earliest-drawn
+    candidate. Raises InfeasibleSpace when the whole pool fails the
+    constraint.
     """
     rng = np.random.default_rng(seed)
     cands = _draw_feasible(rng, space.n_dims, constraint)
@@ -249,8 +255,10 @@ def bo_optimize(objective, space, max_iters: int, n_init: int, seed: int = 0,
     """Fit-propose-evaluate loop; returns the best trial and the full history.
 
     ``objective(theta)`` maps a unit-cube point to a finite score (or a
-    (score, cost) pair). The history holds exactly n_init random trials
-    followed by max_iters proposals, all satisfying the constraint.
+    (score, cost) pair). ``constraint(pool)``, if given, maps an (m, d)
+    candidate pool to m booleans; it is called once per drawn pool. The
+    history holds exactly n_init random trials followed by max_iters
+    proposals, all satisfying the constraint.
     """
     if max_iters < 1:
         raise DomainError("max_iters must be >= 1")

@@ -103,11 +103,11 @@ def cmd_search(args) -> int:
             scheme=space.scheme)
     objective = search.make_objective(space, task, k=args.folds,
                                       eval_seed=args.seed)
-    # space.feasible also screens out structurally invalid candidates
-    # (e.g. zero-width convolutions), with or without a budget.
+    # space.screen also rejects structurally invalid candidates (e.g.
+    # zero-width convolutions), with or without a budget.
     best, history = bayesopt.bo_optimize(
         objective, space, max_iters=args.iters, n_init=args.init,
-        seed=args.seed, constraint=space.feasible)
+        seed=args.seed, constraint=space.screen)
     _emit(search.search_history_csv(space, history), args.output)
     params = space.decode(best.theta)
     print(f"best score {best.score!r} at {json.dumps(params, sort_keys=True)}"

@@ -80,12 +80,8 @@ Mode = str | FixedPoint
 
 
 def _stable_sigmoid(v):
-    out = np.empty_like(v, dtype=float)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(np.minimum(v, -v))  # -|v|, NaN sign kept; never overflows
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 _ACTIVATIONS = {

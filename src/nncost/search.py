@@ -69,28 +69,53 @@ class Dimension:
                 raise ValueError("range dimension needs numeric low and high")
             if self.low > self.high:
                 raise ValueError("range dimension needs low <= high")
+            if self.kind == "int" and max(-self.low, self.high) >= 2 ** 53:
+                # the decoder works in int64 on float products
+                raise ValueError("int dimension needs |low|, |high| < 2**53")
             if self.log and self.low <= 0:
                 raise ValueError("log scaling needs positive low")
 
-    def _coordinate(self, u: float):
-        """Hashable decoded coordinate: the integer, the float value, or
-        the index into ``values`` (category values may be unhashable)."""
-        u = min(max(float(u), 0.0), 1.0)
+    def _coordinates(self, u: np.ndarray) -> np.ndarray:
+        """Decoded coordinates of a column of unit-interval values: the
+        integers, the float values, or indices into ``values`` (category
+        values may be unhashable). Values outside [0, 1] are clipped."""
+        if np.isnan(u).any():
+            raise DomainError(f"dimension {self.name!r}: NaN coordinate")
+        u = np.minimum(np.maximum(u, 0.0), 1.0)
         if self.kind == "cat":
-            return min(int(u * len(self.values)), len(self.values) - 1)
+            n = len(self.values)
+            return np.minimum((u * n).astype(np.int64), n - 1)
         if self.kind == "int":
             lo, hi = int(self.low), int(self.high)
-            return min(lo + int(u * (hi - lo + 1)), hi)
+            return np.minimum(lo + (u * (hi - lo + 1)).astype(np.int64), hi)
         if self.log:
-            return float(self.low * (self.high / self.low) ** u)
-        return float(self.low + u * (self.high - self.low))
+            # Python's ** (libm pow) per element: np.power may round the
+            # last bit differently, which would move decoded values.
+            ratio = self.high / self.low
+            return np.array([self.low * ratio ** x for x in u.tolist()],
+                            dtype=float)
+        return self.low + u * (self.high - self.low)
 
     def _value(self, coordinate):
         return self.values[coordinate] if self.kind == "cat" else coordinate
 
     def decode(self, u: float):
         """Map a unit-interval coordinate to a concrete value."""
-        return self._value(self._coordinate(u))
+        return self._value(self._coordinates(np.array([float(u)])).item())
+
+
+def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one row per distinct row of ``columns``, and each row's group.
+
+    Columns are ranked one at a time and folded into a compact int64 code,
+    so the code stays below rows**2 whatever the number of dimensions.
+    """
+    code = np.zeros(columns[0].shape[0], dtype=np.int64)
+    for column in columns:
+        values, rank = np.unique(column, return_inverse=True)
+        _, first, code = np.unique(code * values.size + rank,
+                                   return_index=True, return_inverse=True)
+    return first, code
 
 
 def _substitute(node, params: dict):
@@ -110,12 +135,19 @@ def _substitute(node, params: dict):
 class SearchSpace:
     """Dimensions plus a network template and an optional complexity budget.
 
-    Cost totals are computed once per distinct decoded architecture (the
-    tuple of integer values, float values and category indices) and kept
-    for the life of the space. Budgets apply when the totals are looked
-    up, so every BO round, every budget of a sweep and every seed that
-    reuses the space shares them; results are the same as costing each
-    candidate afresh. At most ``_COST_MEMO_LIMIT`` architectures are kept.
+    ``screen`` decides a whole candidate pool in one pass: it decodes every
+    column at once, groups the rows by decoded architecture (the tuple of
+    integer values, float values and category indices) and looks each
+    distinct architecture up once. It is the constraint the optimizer
+    calls: an (m, n_dims) pool in, m booleans out. ``feasible`` is the
+    same test for one point, through the same decoder.
+
+    Cost totals are computed once per distinct decoded architecture and
+    kept for the life of the space. Budgets apply when the totals are
+    looked up, so every BO round, every budget of a sweep and every seed
+    that reuses the space shares them; results are the same as costing
+    each candidate afresh. At most ``_COST_MEMO_LIMIT`` architectures are
+    kept.
     """
 
     dimensions: tuple
@@ -133,20 +165,27 @@ class SearchSpace:
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
         if not self.dimensions:
             raise ValueError("search space needs at least one dimension")
-        if self.metric.lower() not in ("rm", "bop", "nabs"):
+        if not isinstance(self.metric, str) or \
+                self.metric.lower() not in _METRICS:
             raise ValueError("metric must be one of rm, bop, nabs")
+        object.__setattr__(self, "metric", self.metric.lower())
 
     @property
     def n_dims(self) -> int:
         return len(self.dimensions)
+
+    def _columns(self, pool: np.ndarray) -> list:
+        """Decoded coordinates of an (m, n_dims) pool, one array per
+        dimension."""
+        return [dim._coordinates(pool[:, j])
+                for j, dim in enumerate(self.dimensions)]
 
     def _key(self, theta) -> tuple:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         if theta.size != self.n_dims:
             raise DomainError(
                 f"theta has {theta.size} components, space has {self.n_dims}")
-        return tuple(dim._coordinate(u)
-                     for dim, u in zip(self.dimensions, theta.tolist()))
+        return tuple(column.item() for column in self._columns(theta[None]))
 
     def _params(self, key: tuple) -> dict:
         return {dim.name: dim._value(c) for dim, c in zip(self.dimensions, key)}
@@ -169,6 +208,12 @@ class SearchSpace:
             self._costs[key] = totals
         return totals
 
+    def _admits(self, key: tuple, budget: int | None) -> bool:
+        totals = self._totals(key)
+        limit = self.budget if budget is None else budget
+        return totals is not None and (
+            limit is None or totals[_METRICS.index(self.metric)] <= limit)
+
     def decode(self, theta) -> dict:
         return self._params(self._key(theta))
 
@@ -177,20 +222,32 @@ class SearchSpace:
 
     def feasible(self, theta, budget: int | None = None) -> bool:
         """Valid network within the budget (if any); errors mean infeasible."""
-        limit = self.budget if budget is None else budget
         try:
-            totals = self._totals(self._key(theta))
+            key = self._key(theta)
         except DomainError:
             return False
-        if totals is None:
-            return False
-        if limit is None:
-            return True
-        return totals[_METRICS.index(self.metric.lower())] <= limit
+        return self._admits(key, budget)
+
+    def screen(self, pool, budget: int | None = None) -> np.ndarray:
+        """``feasible`` for every row of an (m, n_dims) pool, as m booleans.
+
+        Each distinct decoded architecture in the pool is looked up once.
+        A pool of the wrong shape, or one holding NaN, raises DomainError.
+        """
+        pool = np.asarray(pool, dtype=float)
+        if pool.ndim != 2 or pool.shape[1] != self.n_dims:
+            raise DomainError(f"pool has shape {pool.shape}, expected "
+                              f"(m, {self.n_dims})")
+        columns = self._columns(pool)
+        first, group = _distinct_rows(columns)
+        keys = zip(*(column[first].tolist() for column in columns))
+        verdicts = np.array([self._admits(key, budget) for key in keys],
+                            dtype=bool)
+        return verdicts[group]
 
     @staticmethod
     def from_json(doc: dict) -> "SearchSpace":
-        """Space from its JSON document; SchemaError names a bad dimension."""
+        """Space from its JSON document; SchemaError names the bad field."""
         entries = doc["dimensions"]
         if not isinstance(entries, list) or not entries:
             raise SchemaError("dimensions", "must be a nonempty array")
@@ -217,14 +274,39 @@ class SearchSpace:
             except ValueError as exc:
                 raise SchemaError(path, str(exc)) from exc
         constraint = doc.get("constraint", {})
+        if not isinstance(constraint, dict):
+            raise SchemaError("constraint", "must be an object")
+        metric = constraint.get("metric", "nabs")
+        if not isinstance(metric, str) or metric.lower() not in _METRICS:
+            raise SchemaError("constraint.metric",
+                              f"must be one of rm, bop, nabs, got {metric!r}")
+        budget = constraint.get("budget")
+        if budget is not None and (isinstance(budget, bool)
+                                   or not isinstance(budget, numbers.Real)):
+            raise SchemaError("constraint.budget", "must be a number")
         bits_doc = doc.get("bits", {})
-        bits = BitwidthConfig(**bits_doc) if bits_doc else BitwidthConfig()
-        scheme = parse_scheme(doc.get("scheme", "uniform"), bits.b_w)
+        if not isinstance(bits_doc, dict):
+            raise SchemaError("bits", "must be an object")
+        for name, value in bits_doc.items():
+            try:
+                BitwidthConfig(**{name: value})
+            except TypeError:
+                raise SchemaError(f"bits.{name}", "unknown field") from None
+            except ValueError as exc:
+                raise SchemaError(f"bits.{name}", str(exc)) from exc
+        bits = BitwidthConfig(**bits_doc)
+        scheme = doc.get("scheme", "uniform")
+        if not isinstance(scheme, str):
+            raise SchemaError("scheme", "must be a string")
+        try:
+            scheme = parse_scheme(scheme, bits.b_w)
+        except (ValueError, NNCostError) as exc:
+            raise SchemaError("scheme", str(exc)) from exc
         return SearchSpace(
             dimensions=tuple(dims),
             template=doc["template"],
-            metric=constraint.get("metric", "nabs").lower(),
-            budget=constraint.get("budget"),
+            metric=metric,
+            budget=budget,
             bits=bits,
             scheme=scheme,
         )
@@ -408,16 +490,23 @@ def evaluate_arch(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,
 
 def make_objective(space: SearchSpace, task: Task, k: int = 3,
                    eval_seed: int = 0):
-    """Objective closure mapping a cube point to (score, cost totals)."""
+    """Objective closure mapping a cube point to (score, cost totals).
+
+    The score depends only on the decoded architecture (given the task,
+    ``k`` and ``eval_seed``), so the closure scores each one once and
+    returns the same score when a later point decodes to it again.
+    """
+    scores: dict = {}
 
     def objective(theta):
         key = space._key(theta)
-        net = space._network(key)
         totals = space._totals(key)
-        if totals is None:  # raise the cost model's own error
-            costmodel.cost_report(net, space.bits, space.scheme)
-        score = kfold_score(task, net, k=k, seed=eval_seed)
-        return score, dict(zip(_METRICS, totals))
+        if key not in scores:
+            net = space._network(key)
+            if totals is None:  # raise the cost model's own error
+                costmodel.cost_report(net, space.bits, space.scheme)
+            scores[key] = kfold_score(task, net, k=k, seed=eval_seed)
+        return scores[key], dict(zip(_METRICS, totals))
 
     return objective
 
@@ -486,8 +575,8 @@ def complexity_sweep(space: SearchSpace, task: Task, budgets, iters: int,
     for i, budget in enumerate(budgets):
         budget = int(budget)
 
-        def constraint(theta, _b=budget):
-            return space.feasible(theta, budget=_b)
+        def constraint(pool, _b=budget):
+            return space.screen(pool, budget=_b)
 
         best, history = bayesopt.bo_optimize(objective, space,
                                              max_iters=iters, n_init=n_init,

@@ -17,6 +17,10 @@ def trial(theta, score):
     return Trial(theta=np.atleast_1d(np.asarray(theta, float)), score=score)
 
 
+def reject_all(pool):
+    return np.zeros(len(pool), dtype=bool)
+
+
 def draw_separated(rng, d, n_target, sep):
     """Uniform points with a minimum pairwise distance, capped attempts."""
     pts = []
@@ -182,12 +186,12 @@ class TestPropose:
         model = gp_fit(trials)
         target = None
 
-        def constraint(theta):
+        def constraint(pool):
             nonlocal target
-            if target is None:
-                target = theta.copy()
-                return True
-            return False
+            target = pool[0].copy()
+            keep = np.zeros(len(pool), dtype=bool)
+            keep[0] = True
+            return keep
 
         chosen = propose_next(model, CubeSpace(1), f_plus=1.0,
                               constraint=constraint, seed=9)
@@ -210,7 +214,7 @@ class TestPropose:
         model = gp_fit([trial(0.5, 1.0)])
         with pytest.raises(InfeasibleSpace):
             propose_next(model, CubeSpace(1), f_plus=1.0,
-                         constraint=lambda theta: False, seed=0)
+                         constraint=reject_all, seed=0)
 
 
 class TestBOLoop:
@@ -238,7 +242,7 @@ class TestBOLoop:
     def test_infeasible_space(self):
         with pytest.raises(InfeasibleSpace):
             bo_optimize(lambda theta: 0.0, CubeSpace(1), 1, 1, seed=0,
-                        constraint=lambda theta: False)
+                        constraint=reject_all)
 
     def test_objective_error_carries_theta(self):
         def objective(theta):
@@ -249,8 +253,8 @@ class TestBOLoop:
         assert err.value.theta is not None
 
     def test_constraint_respected_in_history(self):
-        def constraint(theta):
-            return theta[0] < 0.5
+        def constraint(pool):
+            return pool[:, 0] < 0.5
 
         def objective(theta):
             return float(theta[0])
@@ -258,3 +262,44 @@ class TestBOLoop:
         _, history = bo_optimize(objective, CubeSpace(1), 5, 3, seed=3,
                                  constraint=constraint)
         assert all(t.theta[0] < 0.5 for t in history)
+
+
+class TestPoolConstraint:
+    @pytest.mark.parametrize("mask", [
+        lambda pool: True,  # a per-point callable's scalar
+        lambda pool: np.bool_(False),
+        lambda pool: np.ones(len(pool) - 1, dtype=bool),
+        lambda pool: np.ones((len(pool), 1), dtype=bool),
+        lambda pool: np.ones(len(pool)),  # not boolean
+        lambda pool: [True] * len(pool) + [False],
+    ])
+    def test_draw_rejects_bad_mask(self, mask):
+        with pytest.raises(DomainError):
+            bayesopt._draw_feasible(np.random.default_rng(0), 2, mask)
+
+    def test_draw_keeps_masked_rows_in_order(self):
+        cands = np.random.default_rng(5).uniform(size=(bayesopt.N_CANDIDATES,
+                                                       2))
+        kept = bayesopt._draw_feasible(np.random.default_rng(5), 2,
+                                       lambda pool: pool[:, 1] > 0.7)
+        np.testing.assert_array_equal(kept, cands[cands[:, 1] > 0.7])
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.002])
+    def test_bo_calls_constraint_once_per_pool(self, threshold):
+        accepted = []
+
+        def constraint(pool):
+            assert pool.shape == (bayesopt.N_CANDIDATES, 2)
+            keep = pool[:, 0] < threshold
+            accepted.append(int(keep.sum()))
+            return keep
+
+        n_init, iters = 6, 3
+        _, history = bo_optimize(lambda theta: float(theta[1]), CubeSpace(2),
+                                 iters, n_init, seed=4, constraint=constraint)
+        assert len(history) == n_init + iters
+        # Initial pools are drawn until n_init points pass, then one pool
+        # per proposal.
+        init_pools = int(np.searchsorted(np.cumsum(accepted), n_init)) + 1
+        assert len(accepted) == init_pools + iters
+        assert (init_pools > 1) == (threshold < 1.0)

@@ -127,6 +127,7 @@ class TestSearch:
         {"name": "h", "kind": "float", "low": 0.0, "high": 1.0, "log": True},
         {"name": "h", "kind": "cat"},
         {"name": "h", "kind": "int", "low": "1", "high": 8},
+        {"name": "h", "kind": "int", "low": 1, "high": 2 ** 60},
     ])
     def test_malformed_dimension_exit_2(self, bad, task_file, tmp_path,
                                         capsys):
@@ -149,6 +150,29 @@ class TestSearch:
         assert main(["sweep", str(path), task_file, "--budgets", "10"]) == 2
         assert "error: dimensions[0].kind: missing field" in (
             capsys.readouterr().err)
+
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("extra, path", [
+        ({"scheme": "foo"}, "scheme"),
+        ({"bits": {"b_w": 0}}, "bits.b_w"),
+        ({"bits": {"b_i": 65}}, "bits.b_i"),
+        ({"constraint": {"metric": "xyz"}}, "constraint.metric"),
+    ])
+    def test_malformed_space_field_exit_2(self, command, extra, path,
+                                          task_file, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({
+            "dimensions": [{"name": "h", "kind": "int", "low": 1,
+                            "high": 4}],
+            "template": {"name": "s", "layers": [
+                {"type": "dense", "n_n": "$h", "n_i": 1}]},
+            **extra}))
+        argv = [command, str(space), task_file]
+        if command == "sweep":
+            argv += ["--budgets", "10"]
+        assert main(argv) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
 
 
 class TestSweep:

@@ -379,3 +379,32 @@ class TestAudit:
         assert np.all(s > 0) and np.all(s < 1)
         t = interp._activate("tanh", rng.uniform(-18, 18, 5000), c)
         assert np.all(t > -1) and np.all(t < 1)
+
+
+class TestStableSigmoid:
+    @staticmethod
+    def masked_sigmoid(v):
+        """The boolean-mask scatter form the branch-free sigmoid replaced."""
+        out = np.empty_like(v, dtype=float)
+        pos = v >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        ev = np.exp(v[~pos])
+        out[~pos] = ev / (1.0 + ev)
+        return out
+
+    def test_bitwise_equal_to_masked_form(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0,
+                   -745.0, 746.0, -746.0, 1e308, -1e308, 5e-324, -5e-324,
+                   36.8, -36.8]
+        rng = np.random.default_rng(12)
+        v = np.concatenate([special, rng.normal(scale=4.0, size=100_000),
+                            rng.normal(scale=400.0, size=100_000)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = self.masked_sigmoid(v)
+            got = interp._stable_sigmoid(v)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      expected.view(np.uint64))
+
+    def test_shapes_preserved(self):
+        for v in (np.asarray(0.3), np.zeros((3, 4)), np.zeros(0)):
+            assert interp._stable_sigmoid(v).shape == v.shape

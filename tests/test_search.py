@@ -9,7 +9,8 @@ import pytest
 from nncost import arch, bayesopt, costmodel, quant, search
 from nncost.arch import Dense, EchoState, NetworkSpec
 from nncost.cli import main
-from nncost.errors import DomainError, InfeasibleSpace, NNCostError
+from nncost.errors import (DomainError, InfeasibleSpace, NNCostError,
+                           SchemaError)
 from nncost.search import (Dimension, SearchSpace, Task, complexity_sweep,
                            evaluate_arch, featurize, kfold_score, kfold_split,
                            synth_task_fir, task_from_json)
@@ -49,6 +50,31 @@ def conv_space(metric="nabs"):
              "activation": "$act"}]},
         metric=metric,
     )
+
+
+def log_space(budget=None):
+    """ESN space with a log-scaled float dimension."""
+    return SearchSpace(
+        dimensions=(Dimension("res", "int", 2, 12),
+                    Dimension("leak", "float", 0.01, 1.0, log=True)),
+        template={"name": "s", "layers": [
+            {"type": "esn", "n_i": 2, "N_r": "$res", "s_p": 0.5, "n_o": 1,
+             "n_s": 4, "leak": "$leak"}]},
+        budget=budget,
+    )
+
+
+def reference_coordinate(dim, u):
+    """The per-point decoding formulas the vectorized decoder replaces."""
+    u = min(max(float(u), 0.0), 1.0)
+    if dim.kind == "cat":
+        return min(int(u * len(dim.values)), len(dim.values) - 1)
+    if dim.kind == "int":
+        lo, hi = int(dim.low), int(dim.high)
+        return min(lo + int(u * (hi - lo + 1)), hi)
+    if dim.log:
+        return float(dim.low * (dim.high / dim.low) ** u)
+    return float(dim.low + u * (dim.high - dim.low))
 
 
 def fresh_totals(space, theta):
@@ -226,6 +252,18 @@ class TestSpace:
         roomy = esn_space(budget=10 ** 9)
         assert roomy.feasible(np.array([0.5, 0.5]))
 
+    def test_upper_case_metric(self):
+        space = esn_space(budget=10 ** 8, metric="NABS")
+        assert space.metric == "nabs"
+        task = synth_task_fir([1.0], 0.0, 36, seed=0)
+        objective = search.make_objective(space, task, k=3, eval_seed=0)
+        _, history = bayesopt.bo_optimize(objective, space, max_iters=1,
+                                          n_init=2, seed=0,
+                                          constraint=space.screen)
+        rows = search.search_history_csv(space, history).splitlines()
+        assert len(rows) == 1 + 3
+        assert all(row.endswith(",1") for row in rows[1:])
+
     def test_from_json(self):
         doc = {
             "dimensions": [{"name": "res", "kind": "int", "low": 2,
@@ -249,7 +287,7 @@ class TestSweep:
         objective = search.make_objective(space, task, k=3, eval_seed=1)
         best, _ = bayesopt.bo_optimize(
             objective, space, max_iters=2, n_init=2, seed=1,
-            constraint=lambda theta: space.feasible(theta, budget=10 ** 8))
+            constraint=lambda pool: space.screen(pool, budget=10 ** 8))
         assert result.points[0].best_score == best.score
 
     def test_zero_budget_infeasible(self):
@@ -280,7 +318,7 @@ class TestSweep:
             objective = search.make_objective(space, task, k=3, eval_seed=0)
             _, history = bayesopt.bo_optimize(
                 objective, space, max_iters=3, n_init=3, seed=0,
-                constraint=lambda th: space.feasible(th, budget=budget))
+                constraint=lambda pool: space.screen(pool, budget=budget))
             assert all(t.cost["nabs"] <= budget for t in history)
 
     def test_history_csv_columns(self):
@@ -289,7 +327,7 @@ class TestSweep:
         objective = search.make_objective(space, task, k=3, eval_seed=0)
         _, history = bayesopt.bo_optimize(objective, space, max_iters=1,
                                           n_init=2, seed=0,
-                                          constraint=space.feasible)
+                                          constraint=space.screen)
         text = search.search_history_csv(space, history)
         header = text.splitlines()[0].split(",")
         assert header == ["iteration", "theta_res", "theta_leak", "score",
@@ -376,3 +414,184 @@ class TestCostMemo:
         assert sha256(out.read_text()) == (
             "2a7d39ead4ce47b798845efa9127da02"
             "9470b4e41a5bc22268961e194034b949")
+
+
+class TestPoolScreen:
+    SPACES = (
+        (dense_space, (50, 266, 1000)),
+        (conv_space, (1600, 4800, 10_000)),
+        (lambda: esn_space(budget=60_000), (20_000, 111_564, 300_000)),
+        (lambda: log_space(budget=30_020), (9_000, 30_020, 60_000)),
+    )
+
+    @pytest.mark.parametrize("make, budgets", SPACES)
+    def test_pool_matches_pointwise(self, make, budgets):
+        pooled, pointwise = make(), make()
+        rows = np.random.default_rng(21).uniform(
+            -0.3, 1.3, size=(2000, pooled.n_dims))
+        for budget in (None,) + budgets:
+            verdicts = pooled.screen(rows, budget=budget)
+            assert verdicts.dtype == bool and verdicts.shape == (2000,)
+            expected = [pointwise.feasible(row, budget=budget)
+                        for row in rows]
+            assert verdicts.tolist() == expected
+            if budget is not None:  # the budget splits the pool
+                assert 0 < verdicts.sum() < 2000
+
+    def test_decoder_matches_reference_formulas(self):
+        dims = (Dimension("a", "int", 1, 8), Dimension("b", "int", -3, 3),
+                Dimension("c", "int", 0.5, 7.9), Dimension("d", "int", 4, 4),
+                Dimension("e", "cat", values=("x", "y", "z")),
+                Dimension("f", "cat", values=([1], )),
+                Dimension("g", "float", 0.2, 1.0),
+                Dimension("h", "float", -5, 5),
+                Dimension("i", "float", 0, 10 ** 6),
+                Dimension("j", "float", 0.01, 1.0, log=True),
+                Dimension("k", "float", 1e-3, 7.5, log=True),
+                Dimension("l", "float", 2, 48, log=True))
+        special = [0.0, -0.0, 1.0, 0.5, np.inf, -np.inf, 1e-300, -1e-300,
+                   1 - 2 ** -53, 1 + 2 ** -52, 0.125, 0.999999]
+        us = np.concatenate([special, np.random.default_rng(3).uniform(
+            -0.5, 1.5, size=5000)])
+        for dim in dims:
+            got = dim._coordinates(us)
+            ref = [reference_coordinate(dim, u) for u in us]
+            if dim.kind == "float":
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(
+                    got.view(np.uint64), np.array(ref).view(np.uint64))
+            else:
+                assert got.dtype == np.int64
+                assert got.tolist() == ref
+            for u, c in zip(special, ref):
+                assert dim.decode(u) == dim._value(c)
+        space = SearchSpace(dimensions=dims[:3] + dims[4:5] + dims[6:7]
+                            + dims[9:10], template={})
+        for theta in np.random.default_rng(4).uniform(-0.2, 1.2,
+                                                      size=(200, 6)):
+            key = space._key(theta)
+            assert key == tuple(reference_coordinate(d, u)
+                                for d, u in zip(space.dimensions, theta))
+            assert [type(c) for c in key] == [int] * 4 + [float] * 2
+
+    @pytest.mark.parametrize("pool", [
+        np.zeros((5, 3)), np.zeros((5, 1)), np.zeros(2), np.zeros((2, 2, 1)),
+        np.array([[0.5, np.nan]])])
+    def test_bad_pool_raises(self, pool):
+        with pytest.raises(DomainError):
+            dense_space().screen(pool)
+
+    def test_pointwise_wrong_size_infeasible(self):
+        space = dense_space()
+        assert not space.feasible(np.zeros(3))
+        assert not space.feasible(np.zeros(0))
+        assert not space.feasible(np.array([0.5, np.nan]))
+
+    def test_empty_pool(self):
+        assert dense_space().screen(np.empty((0, 2))).shape == (0,)
+
+    def test_each_architecture_looked_up_once(self, monkeypatch):
+        space = conv_space()
+        looked_up = []
+        totals = SearchSpace._totals
+
+        def counted(self, key):
+            looked_up.append(key)
+            return totals(self, key)
+
+        monkeypatch.setattr(SearchSpace, "_totals", counted)
+        pool = np.random.default_rng(8).uniform(size=(2048, 3))
+        space.screen(pool)
+        assert len(looked_up) == len(set(looked_up)) == 8 * 4 * 3
+
+
+class TestObjectiveReuse:
+    def test_sweep_scores_each_architecture_once(self, monkeypatch):
+        scored = []
+        real = search.kfold_score
+
+        def counted(task, net, *args, **kwargs):
+            scored.append(arch.serialize(net))
+            return real(task, net, *args, **kwargs)
+
+        monkeypatch.setattr(search, "kfold_score", counted)
+        space = dense_space()
+        task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
+        result = complexity_sweep(space, task, [100, 500, 2000, 10_000],
+                                  iters=3, seed=0, n_init=3, k=3)
+        evaluated = {tuple(sorted(space.decode(t.theta).items()))
+                     for history in result.histories for t in history}
+        assert sum(len(h) for h in result.histories) > len(evaluated)
+        assert len(scored) == len(evaluated) == len(set(scored))
+
+    def test_repeat_returns_same_score_and_cost(self):
+        space = conv_space()
+        task = synth_task_fir([1.0], 0.0, 30, seed=0)
+        objective = search.make_objective(space, task, k=3)
+        first = objective(np.array([0.2, 0.9, 0.5]))
+        again = objective(np.array([0.21, 0.95, 0.6]))
+        assert space.decode([0.2, 0.9, 0.5]) == space.decode([0.21, 0.95,
+                                                              0.6])
+        assert first == again
+        assert first[0] == kfold_score(
+            task, space.build_network([0.2, 0.9, 0.5]), k=3, seed=0)
+
+
+class TestSpaceSchema:
+    BASE = {
+        "dimensions": [{"name": "res", "kind": "int", "low": 2, "high": 8}],
+        "template": {"name": "s", "layers": [
+            {"type": "esn", "n_i": 2, "N_r": "$res", "s_p": 0.5, "n_o": 1,
+             "n_s": 4}]},
+    }
+
+    @pytest.mark.parametrize("extra, path", [
+        ({"scheme": "foo"}, "scheme"),
+        ({"scheme": "apot:x"}, "scheme"),
+        ({"scheme": 3}, "scheme"),
+        ({"bits": {"b_w": 0}}, "bits.b_w"),
+        ({"bits": {"b_a": "8"}}, "bits.b_a"),
+        ({"bits": {"b_x": 8}}, "bits.b_x"),
+        ({"bits": [8]}, "bits"),
+        ({"constraint": {"metric": "xyz"}}, "constraint.metric"),
+        ({"constraint": {"metric": 1}}, "constraint.metric"),
+        ({"constraint": {"budget": "10"}}, "constraint.budget"),
+        ({"constraint": []}, "constraint"),
+    ])
+    def test_bad_field_names_path(self, extra, path):
+        with pytest.raises(SchemaError) as err:
+            SearchSpace.from_json({**self.BASE, **extra})
+        assert err.value.path == path
+
+    def test_upper_case_fields_accepted(self):
+        space = SearchSpace.from_json({
+            **self.BASE, "scheme": "PoT",
+            "constraint": {"metric": "BOP", "budget": 10}})
+        assert space.metric == "bop"
+        assert isinstance(space.scheme, quant.PoT)
+
+
+class TestRecurrentSearchPinned:
+    def test_lstm_gru_search_history_csv_pinned(self, tmp_path):
+        space = tmp_path / "space.json"
+        task = tmp_path / "task.json"
+        out = tmp_path / "history.csv"
+        space.write_text(json.dumps({
+            "dimensions": [
+                {"name": "cell", "kind": "cat", "values": ["lstm", "gru"]},
+                {"name": "h", "kind": "int", "low": 2, "high": 12},
+                {"name": "win", "kind": "int", "low": 1, "high": 4}],
+            "template": {"name": "r", "layers": [
+                {"type": "$cell", "n_i": "$win", "n_h": "$h", "n_s": 8,
+                 "activation": "tanh"}]},
+            "constraint": {"metric": "nabs", "budget": 400000}}))
+        task.write_text(json.dumps({"taps": [1.0, 0.5, 0.25],
+                                    "noise_std": 0.05, "n_samples": 150,
+                                    "seed": 7}))
+        assert main(["search", str(space), str(task), "--iters", "4",
+                     "--init", "3", "--seed", "5", "-o", str(out)]) == 0
+        text = out.read_text()
+        assert {"lstm", "gru"} <= {row.split(",")[1]
+                                   for row in text.splitlines()[1:]}
+        assert sha256(text) == ("b6e78e671cb621d878fc4551a131697f"
+                                "2c651f899733d4531544576da9645be2")
