@@ -134,9 +134,9 @@ class _CountedMatrix:
             elif isinstance(scheme, quant.PoT):
                 self.shift_events = nnz
             else:  # APoT: one shift per term, one add joins consecutive terms
-                n_terms = sum(len(t) for t in qw.terms)
-                self.shift_events = n_terms
-                self.extra_adds = sum(max(0, len(t) - 1) for t in qw.terms)
+                self.shift_events = int(qw.term_counts.sum())
+                self.extra_adds = (self.shift_events
+                                   - int(np.count_nonzero(qw.term_counts)))
         else:
             self.values = values
             self.mult_events = nnz

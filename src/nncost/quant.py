@@ -9,9 +9,11 @@ The schemes differ in how a multiplication by a stored weight is realized:
 * ``APoT``: weights are sums of ``k`` distinct powers of two, so a
   multiplication is ``k`` shifts plus ``k - 1`` adders.
 
-``x_w(scheme)`` exposes that adder count for the cost formulas. The module
-also implements magnitude pruning and weight-sharing clustering, and the
-pruning-aware multiplication count ``effective_rm``.
+PoT and APoT quantize a whole matrix in one vectorized numpy pass (APoT:
+one pass per term), bit-identical to the greedy per-weight definition in
+their docstrings. ``x_w(scheme)`` exposes the adder count for the cost
+formulas. The module also implements magnitude pruning and weight-sharing
+clustering, and the pruning-aware multiplication count ``effective_rm``.
 """
 
 from __future__ import annotations
@@ -101,7 +103,13 @@ def _pot_exponent_range(b_w: int) -> int:
 
 @dataclass
 class QuantizedWeights:
-    """Quantized representation plus the exactly-representable dequantized values."""
+    """Quantized representation plus the exactly-representable dequantized values.
+
+    APoT terms: row i of the int16 ``(n, k_terms)`` table ``term_exponents``
+    holds flattened weight i's exponents in the order chosen, the first
+    ``term_counts[i]`` (an int8 array) of them used, the rest 0. ``terms``
+    is a read-only view of the same data as a list of exponent tuples.
+    """
 
     scheme: QuantScheme
     values: np.ndarray
@@ -110,7 +118,16 @@ class QuantizedWeights:
     scale: float = 1.0
     signs: np.ndarray | None = None
     exponents: np.ndarray | None = None
-    terms: list | None = None
+    term_exponents: np.ndarray | None = None
+    term_counts: np.ndarray | None = None
+
+    @property
+    def terms(self) -> list | None:
+        """APoT terms per flattened weight, as tuples of exponents."""
+        if self.term_counts is None:
+            return None
+        return [tuple(row[:n]) for row, n in
+                zip(self.term_exponents.tolist(), self.term_counts.tolist())]
 
     def to_json(self) -> dict:
         payload = {
@@ -124,10 +141,18 @@ class QuantizedWeights:
         if self.exponents is not None:
             payload["signs"] = self.signs.tolist()
             payload["exponents"] = self.exponents.tolist()
-        if self.terms is not None:
+        if self.term_counts is not None:
             payload["signs"] = self.signs.tolist()
             payload["terms"] = [list(t) for t in self.terms]
         return payload
+
+
+def _finite_weights(weights) -> tuple[np.ndarray, float]:
+    """Weights as a float array, rejecting NaN and infinities, and max|w|."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise DomainError("weights must be finite")
+    return w, float(np.max(np.abs(w))) if w.size else 0.0
 
 
 def quantize_uniform(weights, b_w: int) -> QuantizedWeights:
@@ -137,11 +162,8 @@ def quantize_uniform(weights, b_w: int) -> QuantizedWeights:
     representation.
     """
     _check_bw(b_w)
-    w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise DomainError("weights must be finite")
+    w, max_abs = _finite_weights(weights)
     scheme = FixedUniform(b_w)
-    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
     if max_abs == 0.0:
         codes = np.zeros(w.shape, dtype=np.int64)
         return QuantizedWeights(scheme, np.zeros_like(w),
@@ -155,18 +177,20 @@ def quantize_uniform(weights, b_w: int) -> QuantizedWeights:
                             scale=scale)
 
 
-def _nearest_exponent(magnitude: float, e_min: int) -> int:
-    """Exponent in [e_min, 0] whose power of two is closest in absolute error.
-
-    Exact ties resolve toward the larger magnitude.
+def _nearest_exponents(magnitudes: np.ndarray, e_min: int,
+                       ties_up: bool) -> np.ndarray:
+    """Per positive magnitude, the exponent in [e_min, 0] of the closest
+    power of two. Exact ties go up if ``ties_up`` (PoT), else down (APoT
+    residuals: later terms can still cancel an undershoot). frexp's mantissa
+    is in [0.5, 1), so ``e - 1`` is floor(log2) exactly, never below -1074;
+    clipping at 0 maps magnitudes >= 1 to exponent 0.
     """
-    if magnitude >= 1.0:
-        return 0
-    lo = max(e_min, math.floor(math.log2(magnitude)))
-    hi = min(0, lo + 1)
-    err_lo = abs(magnitude - 2.0 ** lo)
-    err_hi = abs(magnitude - 2.0 ** hi)
-    return hi if err_hi <= err_lo else lo
+    lo = np.clip(np.frexp(magnitudes)[1] - 1, max(e_min, -1074), 0)
+    hi = np.minimum(lo + 1, 0)  # lo, hi stay int32: ldexp's fast path
+    err_lo = np.abs(magnitudes - np.ldexp(1.0, lo))
+    err_hi = np.abs(magnitudes - np.ldexp(1.0, hi))
+    pick_hi = err_hi <= err_lo if ties_up else err_hi < err_lo
+    return lo + pick_hi * (hi - lo)  # a branch-free np.where(pick_hi, hi, lo)
 
 
 def quantize_pot(weights, b_w: int) -> QuantizedWeights:
@@ -177,86 +201,56 @@ def quantize_pot(weights, b_w: int) -> QuantizedWeights:
     dedicated zero code.
     """
     _check_bw(b_w)
-    w = np.asarray(weights, dtype=float)
-    scheme = PoT(b_w)
-    e_min = -_pot_exponent_range(b_w)
-    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
-    scale = max_abs if max_abs > 1.0 else 1.0
-    signs = np.sign(w).astype(np.int64)
-    flat = w.reshape(-1)
-    exponents = np.zeros(flat.size, dtype=np.int64)
-    values = np.zeros(flat.size)
-    for idx, wi in enumerate(flat):
-        if wi == 0.0:
-            continue
-        e = _nearest_exponent(abs(wi) / scale, e_min)
-        exponents[idx] = e
-        values[idx] = math.copysign(2.0 ** e * scale, wi)
-    return QuantizedWeights(scheme, values.reshape(w.shape), w == 0.0,
-                            scale=scale, signs=signs,
-                            exponents=exponents.reshape(w.shape))
-
-
-def _nearest_exponent_to_residual(residual: float, e_min: int) -> int:
-    """Like _nearest_exponent but ties resolve toward the smaller power.
-
-    Undershooting on a tie leaves a nonnegative residual that later terms
-    can still cancel.
-    """
-    if residual >= 1.0:
-        return 0
-    lo = max(e_min, math.floor(math.log2(residual)))
-    hi = min(0, lo + 1)
-    err_lo = abs(residual - 2.0 ** lo)
-    err_hi = abs(residual - 2.0 ** hi)
-    return lo if err_lo <= err_hi else hi
-
-
-def _apot_terms(magnitude: float, e_min: int, k_terms: int) -> tuple[int, ...]:
-    """Greedy decomposition into distinct powers of two.
-
-    Each step adds the exponent that most reduces the residual error and
-    stops early once no further term strictly helps. A positive residual is
-    always strictly below the last chosen power, so exponents never repeat.
-    """
-    chosen: list[int] = []
-    residual = magnitude
-    for _ in range(k_terms):
-        if residual <= 0.0:
-            break
-        e = _nearest_exponent_to_residual(residual, e_min)
-        if e in chosen or abs(residual - 2.0 ** e) >= residual:
-            break
-        chosen.append(e)
-        residual -= 2.0 ** e
-    return tuple(chosen)
+    w, max_abs = _finite_weights(weights)
+    scale = max(max_abs, 1.0)
+    nonzero = w != 0.0
+    e = _nearest_exponents(np.abs(w[nonzero]) / scale,
+                           -_pot_exponent_range(b_w), ties_up=True)
+    exponents = np.zeros(w.shape, dtype=np.int64)
+    exponents[nonzero] = e
+    values = np.zeros(w.shape)
+    values[nonzero] = np.ldexp(1.0, e) * scale
+    np.copysign(values, w, out=values, where=nonzero)
+    return QuantizedWeights(PoT(b_w), values, ~nonzero, scale=scale,
+                            signs=np.sign(w).astype(np.int64),
+                            exponents=exponents)
 
 
 def quantize_apot(weights, b_w: int, k_terms: int) -> QuantizedWeights:
     """Quantize to signed sums of up to k_terms distinct powers of two.
 
-    The greedy term selection never does worse than the single-term
-    power-of-two quantizer at equal b_w.
+    Greedy per weight, all weights in one pass per term: each step adds
+    the exponent nearest the residual; a weight stops once its residual is
+    0, the exponent repeats, or the term does not strictly reduce the error.
+    This never does worse than the single-term PoT quantizer at equal b_w.
     """
     scheme = APoT(b_w, k_terms)
-    w = np.asarray(weights, dtype=float)
     e_min = -_pot_exponent_range(b_w)
-    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
-    scale = max_abs if max_abs > 1.0 else 1.0
-    signs = np.sign(w).astype(np.int64)
+    w, max_abs = _finite_weights(weights)
+    scale = max(max_abs, 1.0)
     flat = w.reshape(-1)
-    values = np.zeros(flat.size)
-    terms: list[tuple[int, ...]] = []
-    for idx, wi in enumerate(flat):
-        if wi == 0.0:
-            terms.append(())
-            continue
-        chosen = _apot_terms(abs(wi) / scale, e_min, k_terms)
-        terms.append(chosen)
-        total = sum(2.0 ** e for e in chosen) * scale
-        values[idx] = math.copysign(total, wi)
-    return QuantizedWeights(scheme, values.reshape(w.shape), w == 0.0,
-                            scale=scale, signs=signs, terms=terms)
+    residual = np.abs(flat) / scale
+    table = np.zeros((flat.size, k_terms), dtype=np.int16)
+    counts = np.zeros(flat.size, dtype=np.int8)
+    total = np.zeros(flat.size)
+    active = np.flatnonzero(residual > 0.0)
+    for t in range(k_terms):
+        r = residual[active]
+        e = _nearest_exponents(r, e_min, ties_up=False)
+        keep = ((np.abs(r - np.ldexp(1.0, e)) < r)
+                & ~np.any(table[active, :t] == e[:, None], axis=1))
+        active, e = active[keep], e[keep]
+        power = np.ldexp(1.0, e)
+        table[active, t] = e
+        counts[active] = t + 1
+        residual[active] -= power
+        total[active] += power
+        active = active[residual[active] > 0.0]
+    total *= scale
+    np.copysign(total, flat, out=total, where=flat != 0.0)
+    return QuantizedWeights(scheme, total.reshape(w.shape), w == 0.0,
+                            scale=scale, signs=np.sign(w).astype(np.int64),
+                            term_exponents=table, term_counts=counts)
 
 
 def quantize(weights, scheme: QuantScheme) -> QuantizedWeights:

@@ -1,13 +1,14 @@
 """Interpreter tests: layer semantics, counters, state handling, filters."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
 
 from nncost import interp, quant
 from nncost.arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
-                         VanillaRNN)
+                         NetworkSpec, VanillaRNN)
 from nncost.costmodel import rm_layer
 from nncost.errors import EmptyOutput, ShapeError
 from nncost.interp import (CellState, DenseWeights, FixedPoint, OpCounters,
@@ -379,6 +380,30 @@ class TestAudit:
         assert np.all(s > 0) and np.all(s < 1)
         t = interp._activate("tanh", rng.uniform(-18, 18, 5000), c)
         assert np.all(t > -1) and np.all(t < 1)
+
+
+class TestFixedPointAuditPinned:
+    """PoT/APoT audits of five layer types, pinned to sha256 digests of the
+    report computed with the per-weight quantizers and tuple-length shift and
+    add counts the vectorized quantizer and its count array replaced."""
+
+    NET = NetworkSpec("zoo", (
+        Dense(16, 12), Conv1D(n_f=4, n_i=3, n_k=3, n_s=10), LSTM(3, 6, 5),
+        GRU(3, 6, 5), EchoState(n_i=2, N_r=20, s_p=0.2, n_o=2, n_s=6)))
+
+    @pytest.mark.parametrize("scheme, digest", [
+        (quant.PoT(8), "5a96a3b156633c2f9a4ed66da1243d7b"
+                       "76560c1da26d6fca6fc2f707489b2231"),
+        (quant.APoT(8, 2), "9d047ed02034f4d678bb2986892ec68c"
+                           "eb9927c4110e06590317b765befc3525"),
+        (quant.APoT(8, 3), "a831c31a20b75c0b53a4e3f02921498d"
+                           "1059b04db3716b21c77370e90efcebbb"),
+    ])
+    def test_report_digest(self, scheme, digest):
+        bits = BitwidthConfig()
+        text = audit(self.NET, bits, scheme, seed=23,
+                     mode=FixedPoint(bits, scheme)).to_json_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestStableSigmoid:

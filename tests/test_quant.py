@@ -1,5 +1,8 @@
 """Quantizer, pruning and weight-sharing tests."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from nncost.arch import Conv1D, Dense, VanillaRNN
 from nncost.costmodel import rm_layer
 from nncost.errors import DomainError, ShapeError
 from nncost.quant import (APoT, FixedUniform, Float, PoT, cluster_weights,
-                          effective_rm, magnitude_prune, quantize_apot,
-                          quantize_pot, quantize_uniform, x_w)
+                          effective_rm, magnitude_prune, quantize,
+                          quantize_apot, quantize_pot, quantize_uniform, x_w)
 
 
 class TestXw:
@@ -110,6 +113,180 @@ class TestAPoT:
             apot_err = np.abs(quantize_apot(w, 8, k).values - w)
             pot_err = np.abs(quantize_pot(w, 8).values - w)
             assert np.all(apot_err <= pot_err + 1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFinite:
+    QUANTIZERS = (
+        lambda w: quantize_pot(w, 8),
+        lambda w: quantize_apot(w, 8, 2),
+        lambda w: quantize(w, PoT(8)),
+        lambda w: quantize(w, APoT(8, 3)),
+    )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", range(4))
+    def test_rejected(self, bad, which):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            self.QUANTIZERS[which](np.array([[0.5, bad], [0.0, -0.25]]))
+
+
+# Reference: the per-weight greedy quantizers the vectorized ones replaced,
+# kept verbatim so every output can be compared bit for bit.
+
+def _ref_nearest_exponent(magnitude, e_min):
+    if magnitude >= 1.0:
+        return 0
+    lo = max(e_min, math.floor(math.log2(magnitude)))
+    hi = min(0, lo + 1)
+    err_lo = abs(magnitude - 2.0 ** lo)
+    err_hi = abs(magnitude - 2.0 ** hi)
+    return hi if err_hi <= err_lo else lo
+
+
+def _ref_nearest_exponent_to_residual(residual, e_min):
+    if residual >= 1.0:
+        return 0
+    lo = max(e_min, math.floor(math.log2(residual)))
+    hi = min(0, lo + 1)
+    err_lo = abs(residual - 2.0 ** lo)
+    err_hi = abs(residual - 2.0 ** hi)
+    return lo if err_lo <= err_hi else hi
+
+
+def _ref_apot_terms(magnitude, e_min, k_terms):
+    chosen = []
+    residual = magnitude
+    for _ in range(k_terms):
+        if residual <= 0.0:
+            break
+        e = _ref_nearest_exponent_to_residual(residual, e_min)
+        if e in chosen or abs(residual - 2.0 ** e) >= residual:
+            break
+        chosen.append(e)
+        residual -= 2.0 ** e
+    return tuple(chosen)
+
+
+def _ref_scale(w):
+    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
+    return max_abs if max_abs > 1.0 else 1.0
+
+
+def _ref_quantize_pot(w, b_w):
+    e_min = -((1 << (b_w - 1)) - 1)
+    scale = _ref_scale(w)
+    flat = w.reshape(-1)
+    exponents = np.zeros(flat.size, dtype=np.int64)
+    values = np.zeros(flat.size)
+    for idx, wi in enumerate(flat):
+        if wi == 0.0:
+            continue
+        e = _ref_nearest_exponent(abs(wi) / scale, e_min)
+        exponents[idx] = e
+        values[idx] = math.copysign(2.0 ** e * scale, wi)
+    return values.reshape(w.shape), scale, exponents.reshape(w.shape)
+
+
+def _ref_quantize_apot(w, b_w, k_terms):
+    e_min = -((1 << (b_w - 1)) - 1)
+    scale = _ref_scale(w)
+    flat = w.reshape(-1)
+    values = np.zeros(flat.size)
+    terms = []
+    for idx, wi in enumerate(flat):
+        if wi == 0.0:
+            terms.append(())
+            continue
+        chosen = _ref_apot_terms(abs(wi) / scale, e_min, k_terms)
+        terms.append(chosen)
+        total = sum(2.0 ** e for e in chosen) * scale
+        values[idx] = math.copysign(total, wi)
+    return values.reshape(w.shape), scale, terms
+
+
+def _edge_magnitudes():
+    """Exact powers, their nextafter neighbours and 1.5 and 1.25 multiples
+    over the whole exponent range (subnormals, the subnormal boundary, the
+    8-bit e_min and the top of the range are covered densely), plus the
+    subnormals 5e-324 and 1e-310."""
+    ks = sorted(set(range(-1074, 1, 23)) | set(range(-1074, -1068))
+                | set(range(-1025, -1019)) | set(range(-129, -124))
+                | set(range(-9, 1)))
+    out = [5e-324, 1e-310]
+    for k in ks:
+        p = 2.0 ** k
+        out += [p, np.nextafter(p, 0.0), np.nextafter(p, 2.0), 1.5 * p,
+                1.25 * p]
+    return np.array([m for m in out if m <= 1.0])
+
+
+def _bitwise_cases():
+    rng = np.random.default_rng(30)
+    edge = _edge_magnitudes()
+    signed = np.concatenate([edge, -edge, [0.0, -0.0]])
+    return {
+        "uniform_unit": rng.uniform(-1, 1, 400),
+        "uniform_scaled": rng.uniform(-7, 7, 400),
+        "edges": signed,
+        "edges_scaled": signed * 7.0,
+        "zeros": np.zeros(6),
+        "empty": np.zeros(0),
+        "matrix": rng.uniform(-1, 1, (12, 9)) * (rng.random((12, 9)) > 0.2),
+        "tensor": rng.uniform(-3, 3, (3, 4, 5)),
+    }
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("b_w", [2, 3, 4, 8, 16, 64])
+class TestMatchesPerWeightReference:
+    def test_pot(self, b_w):
+        for name, w in _bitwise_cases().items():
+            qw = quantize_pot(w, b_w)
+            values, scale, exponents = _ref_quantize_pot(w, b_w)
+            signs = np.sign(w).astype(np.int64)
+            assert qw.values.shape == w.shape, name
+            np.testing.assert_array_equal(_bits(qw.values), _bits(values),
+                                          err_msg=name)
+            assert qw.exponents.dtype == np.int64, name
+            np.testing.assert_array_equal(qw.exponents, exponents,
+                                          err_msg=name)
+            np.testing.assert_array_equal(qw.signs, signs, err_msg=name)
+            np.testing.assert_array_equal(qw.zero_mask, w == 0.0,
+                                          err_msg=name)
+            assert qw.scale == scale, name
+            assert json.dumps(qw.to_json()) == json.dumps({
+                "scheme": "pot", "values": values.tolist(),
+                "zero_mask": (w == 0.0).tolist(), "scale": scale,
+                "signs": signs.tolist(), "exponents": exponents.tolist(),
+            }), name
+
+    def test_apot(self, b_w):
+        for k in range(1, min(b_w - 1, 5) + 1):
+            for name, w in _bitwise_cases().items():
+                label = f"{name} k={k}"
+                qw = quantize_apot(w, b_w, k)
+                values, scale, terms = _ref_quantize_apot(w, b_w, k)
+                signs = np.sign(w).astype(np.int64)
+                assert qw.values.shape == w.shape, label
+                np.testing.assert_array_equal(_bits(qw.values),
+                                              _bits(values), err_msg=label)
+                assert qw.terms == terms, label
+                np.testing.assert_array_equal(
+                    qw.term_counts, [len(t) for t in terms], err_msg=label)
+                np.testing.assert_array_equal(qw.signs, signs, err_msg=label)
+                np.testing.assert_array_equal(qw.zero_mask, w == 0.0,
+                                              err_msg=label)
+                assert qw.scale == scale, label
+                assert json.dumps(qw.to_json()) == json.dumps({
+                    "scheme": "apot", "values": values.tolist(),
+                    "zero_mask": (w == 0.0).tolist(), "scale": scale,
+                    "signs": signs.tolist(),
+                    "terms": [list(t) for t in terms],
+                }), label
 
 
 class TestPrune:
