@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable
 
-from .errors import SchemaError, SpecSyntaxError
+from .errors import DomainError, SchemaError, SpecSyntaxError
 
 ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
 
@@ -56,22 +57,34 @@ def conv1d_output_size(n_s: int, n_k: int, padding: int = 0,
     return numer // stride + 1
 
 
+class _Spec:
+    """Checks every field on construction: ``activation`` is one of
+    ACTIVATIONS, float fields are fractions in (0, 1] and the rest are
+    integer counts >= 1 (``padding`` >= 0). Errors name the field first."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "activation":
+                _require_activation(value)
+            elif f.type == "float":
+                _require_fraction(value, f.name)
+            else:
+                _require_count(value, f.name,
+                               0 if f.name == "padding" else 1)
+
+
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Spec):
     """Fully connected layer: n_n neurons over n_i input features."""
 
     n_n: int
     n_i: int
     activation: str = "tanh"
 
-    def __post_init__(self):
-        _require_count(self.n_n, "n_n")
-        _require_count(self.n_i, "n_i")
-        _require_activation(self.activation)
-
 
 @dataclass(frozen=True)
-class Conv1D:
+class Conv1D(_Spec):
     """1-D convolution: n_f filters of size n_k over n_i channels.
 
     ``n_s`` is the input sequence length; padding/dilation/stride follow the
@@ -87,16 +100,6 @@ class Conv1D:
     stride: int = 1
     activation: str = "tanh"
 
-    def __post_init__(self):
-        _require_count(self.n_f, "n_f")
-        _require_count(self.n_i, "n_i")
-        _require_count(self.n_k, "n_k")
-        _require_count(self.n_s, "n_s")
-        _require_count(self.padding, "padding", minimum=0)
-        _require_count(self.dilation, "dilation")
-        _require_count(self.stride, "stride")
-        _require_activation(self.activation)
-
     @property
     def output_size(self) -> int:
         return conv1d_output_size(self.n_s, self.n_k, self.padding,
@@ -104,55 +107,33 @@ class Conv1D:
 
 
 @dataclass(frozen=True)
-class VanillaRNN:
+class _Cell(_Spec):
+    """Fields shared by the recurrent cells: n_i inputs and n_h hidden
+    units per step, n_s steps."""
+
+    n_i: int
+    n_h: int
+    n_s: int
+    activation: str = "tanh"
+
+
+@dataclass(frozen=True)
+class VanillaRNN(_Cell):
     """Simple recurrent layer: h_t = phi(W x_t + U h_{t-1} + b)."""
 
-    n_i: int
-    n_h: int
-    n_s: int
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        _require_count(self.n_i, "n_i")
-        _require_count(self.n_h, "n_h")
-        _require_count(self.n_s, "n_s")
-        _require_activation(self.activation)
-
 
 @dataclass(frozen=True)
-class LSTM:
+class LSTM(_Cell):
     """LSTM layer; gates are sigmoid, ``activation`` is the cell nonlinearity."""
 
-    n_i: int
-    n_h: int
-    n_s: int
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        _require_count(self.n_i, "n_i")
-        _require_count(self.n_h, "n_h")
-        _require_count(self.n_s, "n_s")
-        _require_activation(self.activation)
-
 
 @dataclass(frozen=True)
-class GRU:
+class GRU(_Cell):
     """GRU layer; gates are sigmoid, ``activation`` is the candidate nonlinearity."""
 
-    n_i: int
-    n_h: int
-    n_s: int
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        _require_count(self.n_i, "n_i")
-        _require_count(self.n_h, "n_h")
-        _require_count(self.n_s, "n_s")
-        _require_activation(self.activation)
-
 
 @dataclass(frozen=True)
-class EchoState:
+class EchoState(_Spec):
     """Leaky echo state network layer.
 
     ``N_r`` reservoir units with recurrent sparsity ``s_p`` (fraction of
@@ -168,15 +149,6 @@ class EchoState:
     leak: float = 1.0
     activation: str = "tanh"
 
-    def __post_init__(self):
-        _require_count(self.n_i, "n_i")
-        _require_count(self.N_r, "N_r")
-        _require_count(self.n_o, "n_o")
-        _require_count(self.n_s, "n_s")
-        _require_fraction(self.s_p, "s_p")
-        _require_fraction(self.leak, "leak")
-        _require_activation(self.activation)
-
     @property
     def row_nonzeros(self) -> int:
         """Nonzero recurrent weights per reservoir row: round(s_p * N_r), at least 1."""
@@ -185,38 +157,177 @@ class EchoState:
 
 LayerSpec = Dense | Conv1D | VanillaRNN | LSTM | GRU | EchoState
 
-_TYPE_TAGS = {
-    "dense": Dense,
-    "conv1d": Conv1D,
-    "rnn": VanillaRNN,
-    "lstm": LSTM,
-    "gru": GRU,
-    "esn": EchoState,
-}
-_TAG_BY_TYPE = {cls: tag for tag, cls in _TYPE_TAGS.items()}
 
-# JSON fields with defaults; everything else is required per layer type.
-_OPTIONAL_FIELDS = {"activation", "padding", "dilation", "stride", "leak"}
+def acc_bits(n: int, b_w: int, b_i: int) -> int:
+    """Accumulator width for summing n partial products of width b_w + b_i."""
+    if n < 1:
+        raise DomainError("accumulation length must be >= 1")
+    return b_w + b_i + (n - 1).bit_length()
+
+
+def mult_bits(n: int, b_w: int, b_i: int) -> int:
+    """Bit cost of n multiplications of b_w-bit by b_i-bit operands."""
+    if n < 0:
+        raise DomainError("multiplication count must be >= 0")
+    return n * b_w * b_i
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """What nncost knows about one layer type, as functions of its spec.
+
+    ``weights`` names the stored arrays and their shapes; ``pruned`` lists
+    the multiplicative ones in prune-mask order, and ``sparse`` names the
+    one stored with ``row_nonzeros`` entries per row. ``state`` names the
+    recurrent state vectors (none: feedforward), ``readout`` the one read
+    by the kind's own linear readout, if any. ``input_shape`` is the
+    nominal input of one pass; ``reuse`` is how many multiplications one
+    stored weight performs in it. ``rm(spec)``, ``bop(spec, b_w, b_i, b_a)``
+    and ``nabs(spec, b_w, b_i, b_a, x_w)`` are the analytic counts (see
+    ``costmodel``). The interpreter's step per kind is ``interp.EXECUTION``.
+    """
+
+    tag: str
+    input_shape: Callable
+    output_width: Callable
+    weights: Callable
+    pruned: tuple
+    reuse: Callable
+    rm: Callable
+    bop: Callable
+    nabs: Callable
+    state: Callable = lambda spec: {}
+    sparse: str | None = None
+    readout: str | None = None
+
+
+def _cell(tag, gates, rm, bop, nabs, state=("h",)) -> LayerKind:
+    """A recurrent cell with, per gate (leading axis ``gates``), W (n_h, n_i),
+    U (n_h, n_h) and b (n_h,); it emits h."""
+    return LayerKind(
+        tag=tag,
+        input_shape=lambda c: (c.n_s, c.n_i),
+        output_width=lambda c: c.n_h,
+        weights=lambda c: {"W": gates + (c.n_h, c.n_i),
+                           "U": gates + (c.n_h, c.n_h), "b": gates + (c.n_h,)},
+        pruned=("W", "U"),
+        reuse=lambda c: c.n_s,
+        rm=rm, bop=bop, nabs=nabs,
+        state=lambda c: dict.fromkeys(state, (c.n_h,)))
+
+
+def _conv_bop(c, w, i, a):
+    taps = c.n_i * c.n_k
+    return (c.output_size * c.n_f * mult_bits(taps, w, i)
+            + c.n_f * acc_bits(taps, w, i)) if c.output_size else 0
+
+
+def _conv_nabs(c, w, i, a, x):
+    taps = c.n_i * c.n_k
+    acc = acc_bits(taps, w, i)
+    return (c.output_size * c.n_f * (taps * (x + 1) - 1) * acc
+            + c.n_f * acc) if c.output_size else 0
+
+
+def _esn_nabs(e, w, i, a, x):
+    # Sparsity term evaluated with the integer per-row count r = s_p*N_r:
+    # N_r * [s_p*(N_r*(X_w+1) - 1) + 4] == r*(N_r*(X_w+1) - 1) + 4*N_r.
+    n_s, N_r, r = e.n_s, e.N_r, e.row_nonzeros
+    return (n_s * N_r * (e.n_i * (x + 1) - 1) * acc_bits(e.n_i, w, i)
+            + n_s * (r * (N_r * (x + 1) - 1) + 4 * N_r) * acc_bits(N_r, w, a)
+            + n_s * N_r * (e.n_o * (x + 1) - 1) * acc_bits(e.n_o, w, a)
+            + 4 * n_s * N_r * a)
+
+
+# The layer-kind table: one entry per spec class.
+KINDS = {
+    Dense: LayerKind(
+        tag="dense",
+        input_shape=lambda d: (d.n_i,),
+        output_width=lambda d: d.n_n,
+        weights=lambda d: {"W": (d.n_n, d.n_i), "b": (d.n_n,)},
+        pruned=("W",),
+        reuse=lambda d: 1,
+        rm=lambda d: d.n_n * d.n_i,
+        bop=lambda d, w, i, a: d.n_n * d.n_i * (w * i + acc_bits(d.n_i, w, i)),
+        nabs=lambda d, w, i, a, x: (d.n_n * d.n_i * (x + 1)
+                                    * acc_bits(d.n_i, w, i))),
+    Conv1D: LayerKind(
+        tag="conv1d",
+        input_shape=lambda c: (c.n_s, c.n_i),
+        output_width=lambda c: c.n_f * c.output_size,
+        weights=lambda c: {"kernels": (c.n_f, c.n_k, c.n_i),
+                           "biases": (c.n_f,)},
+        pruned=("kernels",),
+        reuse=lambda c: c.output_size,
+        rm=lambda c: c.n_f * c.n_i * c.n_k * c.output_size,
+        bop=_conv_bop,
+        nabs=_conv_nabs),
+    VanillaRNN: _cell(
+        "rnn", (),
+        rm=lambda c: c.n_s * c.n_h * (c.n_i + c.n_h),
+        bop=lambda c, w, i, a: c.n_s * c.n_h * (
+            mult_bits(c.n_i, w, i) + mult_bits(c.n_h, w, a)
+            + 2 * acc_bits(c.n_h, w, a)),
+        nabs=lambda c, w, i, a, x: c.n_s * c.n_h * (
+            (c.n_i * (x + 1) - 1) * acc_bits(c.n_i, w, i)
+            + (c.n_h * (x + 1) + 1) * acc_bits(c.n_h, w, a))),
+    LSTM: _cell(
+        "lstm", (4,), state=("h", "C"),
+        rm=lambda c: c.n_s * c.n_h * (4 * c.n_i + 4 * c.n_h + 3),
+        bop=lambda c, w, i, a: c.n_s * c.n_h * (
+            4 * mult_bits(c.n_i, w, i) + 4 * mult_bits(c.n_h, w, a)
+            + 3 * a ** 2 + 9 * acc_bits(c.n_h, w, a)),
+        nabs=lambda c, w, i, a, x: c.n_s * c.n_h * (
+            4 * (c.n_i * (x + 1) - 1) * acc_bits(c.n_i, w, i)
+            + 4 * (c.n_h * (x + 1) + 1) * acc_bits(c.n_h, w, a) + 6 * a)),
+    GRU: _cell(
+        "gru", (3,),
+        rm=lambda c: c.n_s * c.n_h * (3 * c.n_i + 3 * c.n_h + 3),
+        bop=lambda c, w, i, a: c.n_s * c.n_h * (
+            3 * mult_bits(c.n_i, w, i) + 3 * mult_bits(c.n_h, w, a)
+            + 3 * a ** 2 + 8 * acc_bits(c.n_h, w, a)),
+        nabs=lambda c, w, i, a, x: c.n_s * c.n_h * (
+            3 * (c.n_i * (x + 1) - 1) * acc_bits(c.n_i, w, i)
+            + (3 * c.n_h * (x + 1) + 5) * acc_bits(c.n_h, w, a) + 6 * a)),
+    EchoState: LayerKind(
+        tag="esn",
+        input_shape=lambda e: (e.n_s, e.n_i),
+        output_width=lambda e: e.n_o,
+        weights=lambda e: {"W_in": (e.N_r, e.n_i), "W_r": (e.N_r, e.N_r),
+                           "W_o": (e.n_o, e.N_r), "b_o": (e.n_o,),
+                           "W_back": (e.N_r, e.n_o)},
+        pruned=("W_in", "W_r", "W_o"),
+        sparse="W_r",
+        reuse=lambda e: e.n_s,
+        rm=lambda e: e.n_s * e.N_r * (e.n_i + e.row_nonzeros + 2 + e.n_o),
+        bop=lambda e, w, i, a: e.n_s * (
+            e.N_r * mult_bits(e.n_i, w, i)
+            + e.row_nonzeros * mult_bits(e.N_r, w, a)
+            + e.N_r * mult_bits(e.n_o, w, a) + 2 * e.N_r * a ** 2
+            + 4 * e.N_r * acc_bits(e.N_r, w, a)),
+        nabs=_esn_nabs,
+        state=lambda e: {"s": (e.N_r,), "y_prev": (e.n_o,)},
+        readout="s"),
+}
+_TYPE_TAGS = {kind.tag: cls for cls, kind in KINDS.items()}
+
+
+def layer_kind(layer) -> LayerKind:
+    """The table entry of a layer spec; TypeError for anything else."""
+    try:
+        return KINDS[type(layer)]
+    except KeyError:
+        raise TypeError(f"unsupported layer: {layer!r}") from None
 
 
 def layer_type_name(layer: LayerSpec) -> str:
-    return _TAG_BY_TYPE[type(layer)]
-
-
-def input_width(layer: LayerSpec) -> int:
-    """Features the layer consumes per sample (feedforward) or per step."""
-    return layer.n_i
+    return layer_kind(layer).tag
 
 
 def output_width(layer: LayerSpec) -> int:
     """Features the layer emits, for chaining onto the next layer."""
-    if isinstance(layer, Dense):
-        return layer.n_n
-    if isinstance(layer, Conv1D):
-        return layer.n_f * layer.output_size
-    if isinstance(layer, (VanillaRNN, LSTM, GRU)):
-        return layer.n_h
-    return layer.n_o
+    return layer_kind(layer).output_width(layer)
 
 
 @dataclass(frozen=True)
@@ -229,11 +340,8 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         for layer in self.layers:
-            if not isinstance(layer, _TYPE_TAGS_VALUES):
+            if type(layer) not in KINDS:
                 raise ValueError(f"unsupported layer object: {layer!r}")
-
-
-_TYPE_TAGS_VALUES = tuple(_TYPE_TAGS.values())
 
 
 @dataclass(frozen=True)
@@ -281,7 +389,7 @@ def validate_network(net: NetworkSpec) -> list[Violation]:
                 f"{layer.n_s + 2 * layer.padding}"))
         if index > 0:
             produced = output_width(net.layers[index - 1])
-            consumed = input_width(layer)
+            consumed = layer.n_i
             if produced != consumed:
                 violations.append(Violation(
                     index, "width-mismatch",
@@ -309,9 +417,9 @@ def _parse_layer(obj, path: str) -> LayerSpec:
         if key not in declared:
             raise SchemaError(f"{path}.{key}", "unknown field")
         kwargs[key] = value
-    for name in declared - _OPTIONAL_FIELDS:
-        if name not in kwargs:
-            raise SchemaError(f"{path}.{name}", "missing field")
+    for f in fields(cls):  # fields without a default are required
+        if f.default is MISSING and f.name not in kwargs:
+            raise SchemaError(f"{path}.{f.name}", "missing field")
     try:
         return cls(**kwargs)
     except ValueError as exc:

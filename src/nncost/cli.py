@@ -91,6 +91,9 @@ def cmd_validate(args) -> int:
 def _space_and_task(args) -> tuple[search.SearchSpace, search.Task]:
     space = search.SearchSpace.from_json(_load_json(args.space))
     task = search.task_from_json(_load_json(args.task))
+    if not 2 <= args.folds <= task.targets.size:
+        raise SpecSyntaxError(f"--folds {args.folds} must satisfy 2 <= folds "
+                              f"<= n_samples ({task.targets.size})")
     return space, task
 
 
@@ -196,8 +199,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, SpecSyntaxError, SchemaError, ValidationError,
-            KeyError) as exc:
+    except (FileNotFoundError, SpecSyntaxError, SchemaError,
+            ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleSpace as exc:

@@ -11,7 +11,9 @@ Three nested metrics, from software-level to hardware-level:
   decomposition; shifts are free in hardware and are excluded from the
   count, even though the name keeps them visible.
 
-The bitwidth helpers are isolated so alternates can be swapped:
+The per-type formulas are the ``rm``, ``bop`` and ``nabs`` entries of the
+layer-kind table ``arch.KINDS``; this module evaluates them per layer and
+per network. They are built from two bitwidth helpers, re-exported here:
 ``mult_bits(n, b_w, b_i) = n * b_w * b_i`` is the bit cost of n multiplies
 and ``acc_bits(n, b_w, b_i) = b_w + b_i + ceil(log2 n)`` the accumulator
 width that cannot overflow when summing n partial products.
@@ -35,23 +37,10 @@ import json
 from dataclasses import dataclass
 
 from . import quant
-from .arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
-                   NetworkSpec, VanillaRNN, layer_type_name, validate_network)
+from .arch import acc_bits, mult_bits  # noqa: F401  (public here)
+from .arch import (BitwidthConfig, NetworkSpec, layer_kind, layer_type_name,
+                   validate_network)
 from .errors import DomainError, ValidationError
-
-
-def acc_bits(n: int, b_w: int, b_i: int) -> int:
-    """Accumulator width for summing n partial products of width b_w + b_i."""
-    if n < 1:
-        raise DomainError("accumulation length must be >= 1")
-    return b_w + b_i + (n - 1).bit_length()
-
-
-def mult_bits(n: int, b_w: int, b_i: int) -> int:
-    """Bit cost of n multiplications of b_w-bit by b_i-bit operands."""
-    if n < 0:
-        raise DomainError("multiplication count must be >= 0")
-    return n * b_w * b_i
 
 
 def nenb(epochs: int, batches_per_epoch: int) -> int:
@@ -63,61 +52,12 @@ def nenb(epochs: int, batches_per_epoch: int) -> int:
 
 def rm_layer(layer) -> int:
     """Real multiplications for one inference pass of the layer."""
-    if isinstance(layer, Dense):
-        return layer.n_n * layer.n_i
-    if isinstance(layer, Conv1D):
-        return layer.n_f * layer.n_i * layer.n_k * layer.output_size
-    if isinstance(layer, VanillaRNN):
-        return layer.n_s * layer.n_h * (layer.n_i + layer.n_h)
-    if isinstance(layer, LSTM):
-        return layer.n_s * layer.n_h * (4 * layer.n_i + 4 * layer.n_h + 3)
-    if isinstance(layer, GRU):
-        return layer.n_s * layer.n_h * (3 * layer.n_i + 3 * layer.n_h + 3)
-    if isinstance(layer, EchoState):
-        r = layer.row_nonzeros
-        return layer.n_s * layer.N_r * (layer.n_i + r + 2 + layer.n_o)
-    raise TypeError(f"unsupported layer: {layer!r}")
+    return layer_kind(layer).rm(layer)
 
 
 def bop_layer(layer, bits: BitwidthConfig) -> int:
     """Bit operations for one inference pass of the layer."""
-    b_w, b_i, b_a = bits.b_w, bits.b_i, bits.b_a
-    if isinstance(layer, Dense):
-        return layer.n_n * layer.n_i * (b_w * b_i
-                                        + acc_bits(layer.n_i, b_w, b_i))
-    if isinstance(layer, Conv1D):
-        out = layer.output_size
-        taps = layer.n_i * layer.n_k
-        if out == 0:
-            return 0
-        return (out * layer.n_f * mult_bits(taps, b_w, b_i)
-                + layer.n_f * acc_bits(taps, b_w, b_i))
-    if isinstance(layer, VanillaRNN):
-        n_s, n_h, n_i = layer.n_s, layer.n_h, layer.n_i
-        return (n_s * n_h * mult_bits(n_i, b_w, b_i)
-                + n_s * n_h * mult_bits(n_h, b_w, b_a)
-                + 2 * n_s * n_h * acc_bits(n_h, b_w, b_a))
-    if isinstance(layer, LSTM):
-        n_s, n_h, n_i = layer.n_s, layer.n_h, layer.n_i
-        return (4 * n_s * n_h * mult_bits(n_i, b_w, b_i)
-                + 4 * n_s * n_h * mult_bits(n_h, b_w, b_a)
-                + 3 * n_s * n_h * b_a ** 2
-                + 9 * n_s * n_h * acc_bits(n_h, b_w, b_a))
-    if isinstance(layer, GRU):
-        n_s, n_h, n_i = layer.n_s, layer.n_h, layer.n_i
-        return (3 * n_s * n_h * mult_bits(n_i, b_w, b_i)
-                + 3 * n_s * n_h * mult_bits(n_h, b_w, b_a)
-                + 3 * n_s * n_h * b_a ** 2
-                + 8 * n_s * n_h * acc_bits(n_h, b_w, b_a))
-    if isinstance(layer, EchoState):
-        n_s, N_r, n_i, n_o = layer.n_s, layer.N_r, layer.n_i, layer.n_o
-        r = layer.row_nonzeros
-        return (n_s * N_r * mult_bits(n_i, b_w, b_i)
-                + n_s * r * mult_bits(N_r, b_w, b_a)
-                + n_s * N_r * mult_bits(n_o, b_w, b_a)
-                + 2 * n_s * N_r * b_a ** 2
-                + 4 * n_s * N_r * acc_bits(N_r, b_w, b_a))
-    raise TypeError(f"unsupported layer: {layer!r}")
+    return layer_kind(layer).bop(layer, bits.b_w, bits.b_i, bits.b_a)
 
 
 def nabs_layer(layer, bits: BitwidthConfig, scheme: quant.QuantScheme) -> int:
@@ -126,47 +66,8 @@ def nabs_layer(layer, bits: BitwidthConfig, scheme: quant.QuantScheme) -> int:
     ``X_w`` is the per-multiplication adder count of the quantization
     scheme; bit shifts themselves are free and never enter the count.
     """
-    b_w, b_i, b_a = bits.b_w, bits.b_i, bits.b_a
-    xw = quant.x_w(scheme)
-    if isinstance(layer, Dense):
-        return (layer.n_n * layer.n_i * (xw + 1)
-                * acc_bits(layer.n_i, b_w, b_i))
-    if isinstance(layer, Conv1D):
-        out = layer.output_size
-        taps = layer.n_i * layer.n_k
-        if out == 0:
-            return 0
-        acc = acc_bits(taps, b_w, b_i)
-        return out * layer.n_f * (taps * (xw + 1) - 1) * acc + layer.n_f * acc
-    if isinstance(layer, VanillaRNN):
-        n_s, n_h, n_i = layer.n_s, layer.n_h, layer.n_i
-        return (n_s * n_h * (n_i * (xw + 1) - 1) * acc_bits(n_i, b_w, b_i)
-                + n_s * n_h * (n_h * (xw + 1) + 1) * acc_bits(n_h, b_w, b_a))
-    if isinstance(layer, LSTM):
-        n_s, n_h, n_i = layer.n_s, layer.n_h, layer.n_i
-        return (4 * n_s * n_h * (n_i * (xw + 1) - 1)
-                * acc_bits(n_i, b_w, b_i)
-                + 4 * n_s * n_h * (n_h * (xw + 1) + 1)
-                * acc_bits(n_h, b_w, b_a)
-                + 6 * n_s * n_h * b_a)
-    if isinstance(layer, GRU):
-        n_s, n_h, n_i = layer.n_s, layer.n_h, layer.n_i
-        return (3 * n_s * n_h * (n_i * (xw + 1) - 1)
-                * acc_bits(n_i, b_w, b_i)
-                + n_s * n_h * (3 * n_h * (xw + 1) + 5)
-                * acc_bits(n_h, b_w, b_a)
-                + 6 * n_s * n_h * b_a)
-    if isinstance(layer, EchoState):
-        n_s, N_r, n_i, n_o = layer.n_s, layer.N_r, layer.n_i, layer.n_o
-        r = layer.row_nonzeros
-        # Sparsity term evaluated with the integer per-row count r = s_p*N_r:
-        # N_r * [s_p*(N_r*(X_w+1) - 1) + 4] == r*(N_r*(X_w+1) - 1) + 4*N_r.
-        return (n_s * N_r * (n_i * (xw + 1) - 1) * acc_bits(n_i, b_w, b_i)
-                + n_s * (r * (N_r * (xw + 1) - 1) + 4 * N_r)
-                * acc_bits(N_r, b_w, b_a)
-                + n_s * N_r * (n_o * (xw + 1) - 1) * acc_bits(n_o, b_w, b_a)
-                + 4 * n_s * N_r * b_a)
-    raise TypeError(f"unsupported layer: {layer!r}")
+    return layer_kind(layer).nabs(layer, bits.b_w, bits.b_i, bits.b_a,
+                                  quant.x_w(scheme))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ performed. The measured multiplication count is the brute-force oracle for
 the analytic cost model: for every layer type (echo state networks with
 output feedback disabled) it reproduces the analytic RM exactly.
 
+Every forward pass runs one skeleton: check each weight, the input and any
+given state against the shapes in ``arch.KINDS``, quantize the input in
+fixed point, build the kind's step (``EXECUTION``), then apply it once to a
+feedforward input or once per time step, from the given or zero state,
+into an output buffer. Only the step differs between layer types.
+
 Counting conventions:
 
 * element-wise (Hadamard) products count one multiplication per element;
@@ -34,12 +40,15 @@ both correspondences.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import costmodel, quant
+from . import arch, costmodel, quant
 from .arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
                    NetworkSpec, VanillaRNN, layer_type_name)
 from .errors import EmptyOutput, ShapeError
@@ -147,8 +156,9 @@ class _CountedMatrix:
 
     def apply(self, x: np.ndarray, counters: OpCounters,
               input_scale: float | None = None) -> np.ndarray:
-        """Counted product self.values @ x for x of shape (cols,) or (cols, m)."""
-        applications = 1 if x.ndim == 1 else x.shape[1]
+        """Counted product self.values @ x for x of shape (cols,), (cols, m)
+        or (m, cols, 1): one application per column vector."""
+        applications = x.size // self.cols
         counters.mults += self.mult_events * applications
         counters.shifts += self.shift_events * applications
         counters.adds += (self.rows * (self.cols - 1)
@@ -168,7 +178,7 @@ class _CountedMatrix:
 
 def _bias_add(y: np.ndarray, b: np.ndarray, counters: OpCounters):
     counters.adds += int(np.size(y))
-    return y + (b if y.ndim == 1 else b[:, None])
+    return y + b
 
 
 def _hadamard(a: np.ndarray, b: np.ndarray, counters: OpCounters):
@@ -182,7 +192,14 @@ def _vector_add(a: np.ndarray, b: np.ndarray, counters: OpCounters):
 
 
 # ---------------------------------------------------------------------------
-# Weights
+# Weights and steps: one class per layer kind
+
+
+def _gate(W: _CountedMatrix, U: _CountedMatrix, b, x, h, in_scale,
+          counters: OpCounters):
+    """W x + U h + b: the pre-activation of one recurrent gate."""
+    return _bias_add(_vector_add(W.apply(x, counters, in_scale),
+                                 U.apply(h, counters), counters), b, counters)
 
 
 @dataclass
@@ -190,11 +207,46 @@ class DenseWeights:
     W: np.ndarray
     b: np.ndarray
 
+    def stepper(self, spec: Dense, mode, in_scale, counters, feedback):
+        W = _CountedMatrix(self.W, mode)
+
+        def step(x, state):
+            # x[..., None]: a column per input, which rounds like W @ x
+            y = W.apply(x[..., None], counters, in_scale)[..., 0]
+            return _activate(spec.activation, _bias_add(y, self.b, counters),
+                             counters)
+        return step
+
 
 @dataclass
 class ConvWeights:
     kernels: np.ndarray  # (n_f, n_k, n_i)
     biases: np.ndarray  # (n_f,)
+
+    def stepper(self, spec: Conv1D, mode, in_scale, counters, feedback):
+        out_w = spec.output_size
+        if out_w == 0:
+            raise EmptyOutput("no valid kernel placement for this "
+                              "configuration")
+        kernel = _CountedMatrix(
+            self.kernels.reshape(spec.n_f, spec.n_k * spec.n_i), mode)
+        starts = np.arange(out_w) * spec.stride
+        taps = np.arange(spec.n_k) * spec.dilation
+
+        def maps(x):
+            padded = (np.pad(x, ((spec.padding, spec.padding), (0, 0)))
+                      if spec.padding else x)
+            windows = padded[starts[:, None] + taps[None, :], :]
+            flat_windows = windows.reshape(out_w, spec.n_k * spec.n_i).T
+            y = kernel.apply(flat_windows, counters, in_scale)
+            return _activate(spec.activation, _bias_add(
+                y, self.biases[:, None], counters), counters)
+
+        def step(x, state):
+            # A batch runs input by input: one stacked product rounds
+            # differently when n_f = 1.
+            return maps(x) if x.ndim == 2 else np.stack([maps(s) for s in x])
+        return step
 
 
 @dataclass
@@ -202,6 +254,16 @@ class RNNWeights:
     W: np.ndarray  # (n_h, n_i)
     U: np.ndarray  # (n_h, n_h)
     b: np.ndarray  # (n_h,)
+
+    def stepper(self, spec: VanillaRNN, mode, in_scale, counters, feedback):
+        W = _CountedMatrix(self.W, mode)
+        U = _CountedMatrix(self.U, mode)
+
+        def step(x, state):
+            state.h = _activate(spec.activation, _gate(
+                W, U, self.b, x, state.h, in_scale, counters), counters)
+            return state.h
+        return step
 
 
 @dataclass
@@ -212,6 +274,25 @@ class LSTMWeights:
     U: np.ndarray  # (4, n_h, n_h)
     b: np.ndarray  # (4, n_h)
 
+    def stepper(self, spec: LSTM, mode, in_scale, counters, feedback):
+        gates = list(zip([_CountedMatrix(W, mode) for W in self.W],
+                         [_CountedMatrix(U, mode) for U in self.U], self.b))
+
+        def step(x, state):
+            i_pre, f_pre, o_pre, c_pre = [
+                _gate(W, U, b, x, state.h, in_scale, counters)
+                for W, U, b in gates]
+            i_t = _activate("sigmoid", i_pre, counters)
+            f_t = _activate("sigmoid", f_pre, counters)
+            o_t = _activate("sigmoid", o_pre, counters)
+            c_cand = _activate(spec.activation, c_pre, counters)
+            state.C = _vector_add(_hadamard(f_t, state.C, counters),
+                                  _hadamard(i_t, c_cand, counters), counters)
+            state.h = _hadamard(
+                o_t, _activate(spec.activation, state.C, counters), counters)
+            return state.h
+        return step
+
 
 @dataclass
 class GRUWeights:
@@ -220,6 +301,28 @@ class GRUWeights:
     W: np.ndarray  # (3, n_h, n_i)
     U: np.ndarray  # (3, n_h, n_h)
     b: np.ndarray  # (3, n_h)
+
+    def stepper(self, spec: GRU, mode, in_scale, counters, feedback):
+        (W_z, U_z, b_z), (W_r, U_r, b_r), (W_c, U_c, b_c) = zip(
+            [_CountedMatrix(W, mode) for W in self.W],
+            [_CountedMatrix(U, mode) for U in self.U], self.b)
+
+        def step(x, state):
+            h = state.h
+            z_t = _activate("sigmoid", _gate(W_z, U_z, b_z, x, h, in_scale,
+                                             counters), counters)
+            r_t = _activate("sigmoid", _gate(W_r, U_r, b_r, x, h, in_scale,
+                                             counters), counters)
+            recur = _hadamard(r_t, U_c.apply(h, counters), counters)
+            cand_pre = _bias_add(_vector_add(W_c.apply(x, counters, in_scale),
+                                             recur, counters), b_c, counters)
+            h_cand = _activate(spec.activation, cand_pre, counters)
+            counters.adds += spec.n_h  # forming (1 - z_t)
+            state.h = _vector_add(_hadamard(z_t, h, counters),
+                                  _hadamard(1.0 - z_t, h_cand, counters),
+                                  counters)
+            return state.h
+        return step
 
 
 @dataclass
@@ -230,9 +333,45 @@ class ESNWeights:
     b_o: np.ndarray  # (n_o,)
     W_back: np.ndarray | None = None  # (N_r, n_o)
 
+    def stepper(self, spec: EchoState, mode, in_scale, counters, feedback):
+        W_in = _CountedMatrix(self.W_in, mode)
+        W_r = _CountedMatrix(self.W_r, mode)
+        W_o = _CountedMatrix(self.W_o, mode)
+        if feedback:
+            _check(self.W_back is not None, "W_back shape mismatch")
+            W_back = _CountedMatrix(self.W_back, mode)
+        mu = float(spec.leak)
+
+        def step(x, state):
+            pre = _vector_add(W_r.apply(state.s, counters),
+                              W_in.apply(x, counters, in_scale), counters)
+            if feedback:
+                pre = _vector_add(pre, W_back.apply(state.y_prev, counters),
+                                  counters)
+            a = _activate(spec.activation, pre, counters)
+            counters.mults += 2 * spec.N_r
+            counters.adds += spec.N_r
+            state.s = (1.0 - mu) * state.s + mu * a
+            state.y_prev = _bias_add(W_o.apply(state.s, counters), self.b_o,
+                                     counters)
+            return state.y_prev
+        return step
+
 
 LayerWeights = (DenseWeights | ConvWeights | RNNWeights | LSTMWeights
                 | GRUWeights | ESNWeights)
+
+# The interpreter's half of the layer-kind table (``arch.KINDS`` holds the
+# rest): each kind's weights class. It holds the kind's named arrays and
+# builds its step: ``stepper(spec, mode, in_scale, counters, feedback)``
+# prepares one counted matrix per weight, per gate for gated cells because
+# fixed-point scales are per matrix, and returns ``step(x, state)``, which
+# maps one input to its output (a recurrent step: one time step, updating
+# the ``CellState`` in place).
+EXECUTION = {Dense: DenseWeights, Conv1D: ConvWeights, VanillaRNN: RNNWeights,
+             LSTM: LSTMWeights, GRU: GRUWeights, EchoState: ESNWeights}
+_KIND_BY_WEIGHTS = {weights: arch.KINDS[cls]
+                    for cls, weights in EXECUTION.items()}
 
 
 @dataclass
@@ -246,64 +385,35 @@ class CellState:
 
 
 def zero_state(spec) -> CellState:
-    if isinstance(spec, VanillaRNN) or isinstance(spec, GRU):
-        return CellState(h=np.zeros(spec.n_h))
-    if isinstance(spec, LSTM):
-        return CellState(h=np.zeros(spec.n_h), C=np.zeros(spec.n_h))
-    if isinstance(spec, EchoState):
-        return CellState(s=np.zeros(spec.N_r), y_prev=np.zeros(spec.n_o))
-    raise TypeError(f"no recurrent state for {spec!r}")
+    """All-zero state of a recurrent layer; TypeError for a feedforward one."""
+    state = arch.layer_kind(spec).state(spec)
+    if not state:
+        raise TypeError(f"no recurrent state for {spec!r}")
+    return CellState(**{n: np.zeros(shape) for n, shape in state.items()})
 
 
 def random_weights(spec, seed) -> LayerWeights:
     """Seeded uniform [-1, 1] weights shaped for the layer.
 
-    The echo-state recurrent matrix receives exactly ``spec.row_nonzeros``
-    nonzero entries per row, at seeded positions, so the measured
-    multiplication count matches the analytic formula.
+    Arrays are drawn in table order, except that the echo-state recurrent
+    matrix comes first: it receives exactly ``spec.row_nonzeros`` nonzero
+    entries per row, at seeded positions, so the measured multiplication
+    count matches the analytic formula.
     """
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
-
-    def u(*shape):
-        return rng.uniform(-1.0, 1.0, size=shape)
-
-    if isinstance(spec, Dense):
-        return DenseWeights(W=u(spec.n_n, spec.n_i), b=u(spec.n_n))
-    if isinstance(spec, Conv1D):
-        return ConvWeights(kernels=u(spec.n_f, spec.n_k, spec.n_i),
-                           biases=u(spec.n_f))
-    if isinstance(spec, VanillaRNN):
-        return RNNWeights(W=u(spec.n_h, spec.n_i), U=u(spec.n_h, spec.n_h),
-                          b=u(spec.n_h))
-    if isinstance(spec, LSTM):
-        return LSTMWeights(W=u(4, spec.n_h, spec.n_i),
-                           U=u(4, spec.n_h, spec.n_h), b=u(4, spec.n_h))
-    if isinstance(spec, GRU):
-        return GRUWeights(W=u(3, spec.n_h, spec.n_i),
-                          U=u(3, spec.n_h, spec.n_h), b=u(3, spec.n_h))
-    if isinstance(spec, EchoState):
-        W_r = np.zeros((spec.N_r, spec.N_r))
+    rng = np.random.default_rng(seed)  # a Generator passes through as is
+    kind = arch.layer_kind(spec)
+    shapes = kind.weights(spec)
+    arrays = {}
+    if kind.sparse:
+        arrays[kind.sparse] = np.zeros(shapes[kind.sparse])
         r = spec.row_nonzeros
-        for row in range(spec.N_r):
-            cols = rng.choice(spec.N_r, size=r, replace=False)
-            W_r[row, cols] = rng.uniform(-1.0, 1.0, size=r)
-        return ESNWeights(W_in=u(spec.N_r, spec.n_i), W_r=W_r,
-                          W_o=u(spec.n_o, spec.N_r), b_o=u(spec.n_o),
-                          W_back=u(spec.N_r, spec.n_o))
-    raise TypeError(f"unsupported layer: {spec!r}")
-
-
-def _prune_order_matrices(weights: LayerWeights) -> list[np.ndarray]:
-    if isinstance(weights, DenseWeights):
-        return [weights.W]
-    if isinstance(weights, ConvWeights):
-        return [weights.kernels]
-    if isinstance(weights, (RNNWeights, LSTMWeights, GRUWeights)):
-        return [weights.W, weights.U]
-    if isinstance(weights, ESNWeights):
-        return [weights.W_in, weights.W_r, weights.W_o]
-    raise TypeError(f"unsupported weights: {weights!r}")
+        for row in arrays[kind.sparse]:
+            cols = rng.choice(row.size, size=r, replace=False)
+            row[cols] = rng.uniform(-1.0, 1.0, size=r)
+    for name, shape in shapes.items():
+        if name not in arrays:
+            arrays[name] = rng.uniform(-1.0, 1.0, size=shape)
+    return EXECUTION[type(spec)](**arrays)
 
 
 def apply_prune_mask(weights: LayerWeights, mask: quant.PruneMask
@@ -315,27 +425,23 @@ def apply_prune_mask(weights: LayerWeights, mask: quant.PruneMask
     state layers the recurrent part covers only the stored nonzeros, in
     row-major position order.
     """
-    import copy
-
+    kind = _KIND_BY_WEIGHTS.get(type(weights))
+    if kind is None:
+        raise TypeError(f"unsupported weights: {weights!r}")
     out = copy.deepcopy(weights)
-    mats = _prune_order_matrices(out)
     flags = np.asarray(mask.keep, dtype=bool)
     cursor = 0
-    for mat in mats:
-        if isinstance(weights, ESNWeights) and mat is mats[1]:
-            rows, cols = np.nonzero(mat)
-            take = flags[cursor:cursor + rows.size]
-            if take.size != rows.size:
-                raise ShapeError("mask shorter than weight count")
-            mat[rows[~take], cols[~take]] = 0.0
-            cursor += rows.size
-        else:
-            take = flags[cursor:cursor + mat.size]
-            if take.size != mat.size:
-                raise ShapeError("mask shorter than weight count")
-            flat = mat.reshape(-1)
-            flat[~take] = 0.0
-            cursor += mat.size
+    for name in kind.pruned:
+        values = getattr(out, name)
+        flat = values.reshape(-1)  # row-major: a copy unless C-contiguous
+        slots = (np.flatnonzero(flat) if name == kind.sparse
+                 else np.arange(flat.size))
+        take = flags[cursor:cursor + slots.size]
+        if take.size != slots.size:
+            raise ShapeError("mask shorter than weight count")
+        flat[slots[~take]] = 0.0
+        setattr(out, name, flat.reshape(values.shape))
+        cursor += slots.size
     if cursor != flags.size:
         raise ShapeError(
             f"mask has {flags.size} entries, layer weights have {cursor}")
@@ -343,7 +449,7 @@ def apply_prune_mask(weights: LayerWeights, mask: quant.PruneMask
 
 
 # ---------------------------------------------------------------------------
-# Forward passes
+# Forward passes: one skeleton for every layer kind
 
 
 def _check(condition: bool, message: str):
@@ -351,163 +457,96 @@ def _check(condition: bool, message: str):
         raise ShapeError(message)
 
 
-def _prep_input(x: np.ndarray, mode: Mode) -> tuple[np.ndarray, float | None]:
-    if isinstance(mode, FixedPoint):
-        return _quantize_operand(x, mode.bits.b_i)
-    return x, None
+def _check_shapes(spec, kind: arch.LayerKind, weights, x: np.ndarray,
+                  init_state: CellState | None):
+    """Every weight, the input and every given state vector against the
+    table's shapes. A weight with a None default (the echo-state feedback
+    matrix) may be absent."""
+    optional = {f.name for f in fields(weights) if f.default is None}
+    for name, shape in kind.weights(spec).items():
+        value = getattr(weights, name)
+        _check(np.shape(value) == shape or value is None and name in optional,
+               f"{name} shape mismatch")
+    state = kind.state(spec)
+    if state:  # any number of steps
+        _check(x.ndim == 2 and x.shape[1] == spec.n_i,
+               "input sequence shape mismatch")
+    else:  # one nominal input or a batch of them
+        nominal = kind.input_shape(spec)
+        _check(x.shape in (nominal, x.shape[:1] + nominal),
+               "input shape mismatch")
+    for name, shape in state.items():
+        value = getattr(init_state, name, None)
+        _check(value is None or np.shape(value) == shape,
+               f"init_state.{name} shape mismatch")
 
 
-def forward_dense(spec: Dense, weights: DenseWeights, x, mode: Mode = "float"
+def _execute(spec, weights, x, mode: Mode = "float",
+             init_state: CellState | None = None, feedback: bool = False,
+             state_trace: list | None = None):
+    """The skeleton behind every forward pass; returns (output, final state
+    or None, counters). See the module docstring."""
+    kind = arch.layer_kind(spec)
+    x = np.asarray(x, dtype=float)
+    _check_shapes(spec, kind, weights, x, init_state)
+    counters = OpCounters()
+    x, in_scale = (_quantize_operand(x, mode.bits.b_i)
+                   if isinstance(mode, FixedPoint) else (x, None))
+    step = EXECUTION[type(spec)].stepper(weights, spec, mode, in_scale,
+                                         counters, feedback)
+    state_shapes = kind.state(spec)
+    if not state_shapes:
+        return step(x, None), None, counters
+    state = CellState()
+    for name, shape in state_shapes.items():
+        given = getattr(init_state, name, None)
+        setattr(state, name, np.zeros(shape) if given is None
+                else np.array(given, dtype=float))
+    outs = np.empty((x.shape[0], kind.output_width(spec)))
+    for t in range(x.shape[0]):
+        outs[t] = step(x[t], state)
+        if state_trace is not None:
+            state_trace.append(getattr(state, kind.readout).copy())
+    return outs, state, counters
+
+
+def forward_dense(spec: Dense | Conv1D, weights, x, mode: Mode = "float"
                   ) -> tuple[np.ndarray, OpCounters]:
-    """y = phi(W x + b) with counted operations."""
-    x = np.asarray(x, dtype=float)
-    _check(weights.W.shape == (spec.n_n, spec.n_i), "W shape mismatch")
-    _check(weights.b.shape == (spec.n_n,), "b shape mismatch")
-    _check(x.shape == (spec.n_i,), "input shape mismatch")
-    counters = OpCounters()
-    x, in_scale = _prep_input(x, mode)
-    W = _CountedMatrix(weights.W, mode)
-    y = W.apply(x, counters, in_scale)
-    y = _bias_add(y, weights.b, counters)
-    return _activate(spec.activation, y, counters), counters
+    """Run a feedforward layer with counted operations.
+
+    Dense: y = phi(W x + b) for x of n_i features. Conv1D: feature maps of
+    shape (n_f, output_size) for x of shape (n_s, n_i). ``x`` may also be a
+    batch of such inputs along a leading axis: counted once per input, one
+    fixed-point input scale for the batch, convolutions run input by input.
+    ``forward_conv1d`` is this function: the spec's kind picks the step.
+    """
+    y, _, counters = _execute(spec, weights, x, mode)
+    return y, counters
 
 
-def forward_conv1d(spec: Conv1D, weights: ConvWeights, x, mode: Mode = "float"
-                   ) -> tuple[np.ndarray, OpCounters]:
-    """Feature maps of shape (n_f, output_size) with counted operations."""
-    x = np.asarray(x, dtype=float)
-    _check(weights.kernels.shape == (spec.n_f, spec.n_k, spec.n_i),
-           "kernel shape mismatch")
-    _check(weights.biases.shape == (spec.n_f,), "bias shape mismatch")
-    _check(x.ndim == 2 and x.shape[1] == spec.n_i, "input shape mismatch")
-    out_w = spec.output_size
-    if out_w == 0:
-        raise EmptyOutput("no valid kernel placement for this configuration")
-    counters = OpCounters()
-    x, in_scale = _prep_input(x, mode)
-    if spec.padding:
-        padded = np.zeros((x.shape[0] + 2 * spec.padding, spec.n_i))
-        padded[spec.padding:-spec.padding] = x
-    else:
-        padded = x
-    starts = np.arange(out_w) * spec.stride
-    taps = np.arange(spec.n_k) * spec.dilation
-    windows = padded[starts[:, None] + taps[None, :], :]  # (out_w, n_k, n_i)
-    flat_windows = windows.reshape(out_w, spec.n_k * spec.n_i).T
-    kernel = _CountedMatrix(
-        weights.kernels.reshape(spec.n_f, spec.n_k * spec.n_i), mode)
-    maps = kernel.apply(flat_windows, counters, in_scale)
-    maps = _bias_add(maps, weights.biases, counters)
-    return _activate(spec.activation, maps, counters), counters
+forward_conv1d = forward_dense
 
 
-def forward_rnn(spec: VanillaRNN, weights: RNNWeights, x_seq,
+def forward_rnn(spec: VanillaRNN | LSTM | GRU, weights, x_seq,
                 mode: Mode = "float", init_state: CellState | None = None
                 ) -> tuple[np.ndarray, CellState, OpCounters]:
-    """h_t = phi(W x_t + U h_{t-1} + b) over the input sequence.
+    """Run a recurrent cell over the input sequence with counted operations.
+
+    VanillaRNN: h_t = phi(W x_t + U h_{t-1} + b). LSTM: sigmoid input,
+    forget and output gates and a phi cell update; the forget blend, input
+    injection and output gating are Hadamard products of n_h
+    multiplications each. GRU: sigmoid update and reset gates and a phi
+    candidate; the reset, retain and renew products cost n_h
+    multiplications each. ``forward_lstm`` and ``forward_gru`` are this
+    function: the spec's kind picks the step.
 
     Accepts any sequence length; the nominal length for the analytic count
-    is ``spec.n_s``.
+    is ``spec.n_s``. State vectors missing from ``init_state`` start at 0.
     """
-    x_seq = np.asarray(x_seq, dtype=float)
-    _check(weights.W.shape == (spec.n_h, spec.n_i), "W shape mismatch")
-    _check(weights.U.shape == (spec.n_h, spec.n_h), "U shape mismatch")
-    _check(x_seq.ndim == 2 and x_seq.shape[1] == spec.n_i,
-           "input sequence shape mismatch")
-    counters = OpCounters()
-    x_seq, in_scale = _prep_input(x_seq, mode)
-    W = _CountedMatrix(weights.W, mode)
-    U = _CountedMatrix(weights.U, mode)
-    h = (init_state.h if init_state is not None
-         and init_state.h is not None else np.zeros(spec.n_h)).copy()
-    outs = np.empty((x_seq.shape[0], spec.n_h))
-    for t in range(x_seq.shape[0]):
-        pre = _vector_add(W.apply(x_seq[t], counters, in_scale),
-                          U.apply(h, counters), counters)
-        pre = _bias_add(pre, weights.b, counters)
-        h = _activate(spec.activation, pre, counters)
-        outs[t] = h
-    return outs, CellState(h=h), counters
+    return _execute(spec, weights, x_seq, mode, init_state)
 
 
-def forward_lstm(spec: LSTM, weights: LSTMWeights, x_seq,
-                 mode: Mode = "float", init_state: CellState | None = None
-                 ) -> tuple[np.ndarray, CellState, OpCounters]:
-    """Gated cell update per step; gates are sigmoid, phi is spec.activation.
-
-    The three Hadamard products (forget blend, input injection, output
-    gating) each cost n_h multiplications per step.
-    """
-    x_seq = np.asarray(x_seq, dtype=float)
-    _check(weights.W.shape == (4, spec.n_h, spec.n_i), "W shape mismatch")
-    _check(weights.U.shape == (4, spec.n_h, spec.n_h), "U shape mismatch")
-    _check(x_seq.ndim == 2 and x_seq.shape[1] == spec.n_i,
-           "input sequence shape mismatch")
-    counters = OpCounters()
-    x_seq, in_scale = _prep_input(x_seq, mode)
-    Ws = [_CountedMatrix(weights.W[g], mode) for g in range(4)]
-    Us = [_CountedMatrix(weights.U[g], mode) for g in range(4)]
-    if init_state is None:
-        init_state = zero_state(spec)
-    h = (init_state.h if init_state.h is not None
-         else np.zeros(spec.n_h)).copy()
-    C = (init_state.C if init_state.C is not None
-         else np.zeros(spec.n_h)).copy()
-    outs = np.empty((x_seq.shape[0], spec.n_h))
-    for t in range(x_seq.shape[0]):
-        gates = []
-        for g in range(4):
-            pre = _vector_add(Ws[g].apply(x_seq[t], counters, in_scale),
-                              Us[g].apply(h, counters), counters)
-            pre = _bias_add(pre, weights.b[g], counters)
-            gates.append(pre)
-        i_t = _activate("sigmoid", gates[0], counters)
-        f_t = _activate("sigmoid", gates[1], counters)
-        o_t = _activate("sigmoid", gates[2], counters)
-        c_cand = _activate(spec.activation, gates[3], counters)
-        C = _vector_add(_hadamard(f_t, C, counters),
-                        _hadamard(i_t, c_cand, counters), counters)
-        h = _hadamard(o_t, _activate(spec.activation, C, counters), counters)
-        outs[t] = h
-    return outs, CellState(h=h, C=C), counters
-
-
-def forward_gru(spec: GRU, weights: GRUWeights, x_seq,
-                mode: Mode = "float", init_state: CellState | None = None
-                ) -> tuple[np.ndarray, CellState, OpCounters]:
-    """Update/reset gated cell; the reset, retain and renew element-wise
-    products each cost n_h multiplications per step."""
-    x_seq = np.asarray(x_seq, dtype=float)
-    _check(weights.W.shape == (3, spec.n_h, spec.n_i), "W shape mismatch")
-    _check(weights.U.shape == (3, spec.n_h, spec.n_h), "U shape mismatch")
-    _check(x_seq.ndim == 2 and x_seq.shape[1] == spec.n_i,
-           "input sequence shape mismatch")
-    counters = OpCounters()
-    x_seq, in_scale = _prep_input(x_seq, mode)
-    Ws = [_CountedMatrix(weights.W[g], mode) for g in range(3)]
-    Us = [_CountedMatrix(weights.U[g], mode) for g in range(3)]
-    h = (init_state.h if init_state is not None
-         and init_state.h is not None else np.zeros(spec.n_h)).copy()
-    outs = np.empty((x_seq.shape[0], spec.n_h))
-    for t in range(x_seq.shape[0]):
-        z_pre = _bias_add(_vector_add(Ws[0].apply(x_seq[t], counters, in_scale),
-                                      Us[0].apply(h, counters), counters),
-                          weights.b[0], counters)
-        r_pre = _bias_add(_vector_add(Ws[1].apply(x_seq[t], counters, in_scale),
-                                      Us[1].apply(h, counters), counters),
-                          weights.b[1], counters)
-        z_t = _activate("sigmoid", z_pre, counters)
-        r_t = _activate("sigmoid", r_pre, counters)
-        recur = _hadamard(r_t, Us[2].apply(h, counters), counters)
-        cand_pre = _bias_add(
-            _vector_add(Ws[2].apply(x_seq[t], counters, in_scale), recur,
-                        counters), weights.b[2], counters)
-        h_cand = _activate(spec.activation, cand_pre, counters)
-        counters.adds += spec.n_h  # forming (1 - z_t)
-        h = _vector_add(_hadamard(z_t, h, counters),
-                        _hadamard(1.0 - z_t, h_cand, counters), counters)
-        outs[t] = h
-    return outs, CellState(h=h), counters
+forward_lstm = forward_gru = forward_rnn
 
 
 def forward_esn(spec: EchoState, weights: ESNWeights, x_seq,
@@ -523,50 +562,34 @@ def forward_esn(spec: EchoState, weights: ESNWeights, x_seq,
     analytic count. When ``state_trace`` is a list it receives a copy of
     the reservoir state after every step.
     """
-    x_seq = np.asarray(x_seq, dtype=float)
-    _check(weights.W_in.shape == (spec.N_r, spec.n_i), "W_in shape mismatch")
-    _check(weights.W_r.shape == (spec.N_r, spec.N_r), "W_r shape mismatch")
-    _check(weights.W_o.shape == (spec.n_o, spec.N_r), "W_o shape mismatch")
-    _check(x_seq.ndim == 2 and x_seq.shape[1] == spec.n_i,
-           "input sequence shape mismatch")
-    if feedback_enabled:
-        _check(weights.W_back is not None
-               and weights.W_back.shape == (spec.N_r, spec.n_o),
-               "W_back shape mismatch")
-    counters = OpCounters()
-    x_seq, in_scale = _prep_input(x_seq, mode)
-    W_in = _CountedMatrix(weights.W_in, mode)
-    W_r = _CountedMatrix(weights.W_r, mode)
-    W_o = _CountedMatrix(weights.W_o, mode)
-    W_back = (_CountedMatrix(weights.W_back, mode)
-              if feedback_enabled else None)
-    state = init_state if init_state is not None else zero_state(spec)
-    s = (state.s if state.s is not None else np.zeros(spec.N_r)).copy()
-    y = (state.y_prev if state.y_prev is not None
-         else np.zeros(spec.n_o)).copy()
-    mu = float(spec.leak)
-    outs = np.empty((x_seq.shape[0], spec.n_o))
-    for t in range(x_seq.shape[0]):
-        pre = _vector_add(W_r.apply(s, counters),
-                          W_in.apply(x_seq[t], counters, in_scale), counters)
-        if W_back is not None:
-            pre = _vector_add(pre, W_back.apply(y, counters), counters)
-        a = _activate(spec.activation, pre, counters)
-        counters.mults += 2 * spec.N_r
-        counters.adds += spec.N_r
-        s = (1.0 - mu) * s + mu * a
-        if state_trace is not None:
-            state_trace.append(s.copy())
-        y = _bias_add(W_o.apply(s, counters), weights.b_o, counters)
-        outs[t] = y
-    return outs, CellState(s=s, y_prev=y), counters
+    return _execute(spec, weights, x_seq, mode, init_state, feedback_enabled,
+                    state_trace)
 
 
-_RECURRENT_FORWARD = {
-    VanillaRNN: forward_rnn,
-    LSTM: forward_lstm,
-    GRU: forward_gru,
-}
+def run_stream(spec, weights, stream) -> tuple[np.ndarray, np.ndarray]:
+    """Run a layer in float over a stream with one row per step; returns
+    one output row per step, and the ``readout`` state per step in place of
+    the output where the kind has its own readout (an echo-state s).
+
+    A recurrent layer runs over the whole stream from zero state. At step t
+    a feedforward layer sees its nominal input ending at t (the row for a
+    dense layer, all rows in one batch; the last n_s rows, zero before the
+    stream starts, for a convolution) and emits its output flattened.
+    """
+    stream = np.asarray(stream, dtype=float)
+    kind = arch.layer_kind(spec)
+    if kind.state(spec):
+        trace = [] if kind.readout else None
+        outputs, _, _ = _execute(spec, weights, stream, state_trace=trace)
+        return outputs, outputs if trace is None else np.stack(trace)
+    nominal = kind.input_shape(spec)
+    span = math.prod(nominal[:-1])
+    padded = np.vstack([np.zeros((span - 1, stream.shape[1])), stream])
+    samples = sliding_window_view(padded, span, axis=0).transpose(0, 2, 1)
+    outputs, _, _ = _execute(spec, weights, samples.reshape(
+        samples.shape[:1] + nominal[:-1] + samples.shape[2:]))
+    outputs = outputs.reshape(stream.shape[0], -1)
+    return outputs, outputs
 
 
 def run_batches(spec, weights, batches, state_mode: str = "stateless",
@@ -582,26 +605,16 @@ def run_batches(spec, weights, batches, state_mode: str = "stateless",
         raise ValueError("state_mode must be 'stateless' or 'stateful'")
     if not batches:
         raise ValueError("batches must be nonempty")
-    if isinstance(spec, EchoState):
-        def step(batch, state):
-            return forward_esn(spec, weights, batch, mode=mode,
-                               feedback_enabled=feedback_enabled,
-                               init_state=state)
-    elif type(spec) in _RECURRENT_FORWARD:
-        forward = _RECURRENT_FORWARD[type(spec)]
-
-        def step(batch, state):
-            return forward(spec, weights, batch, mode=mode, init_state=state)
-    else:
+    if not arch.layer_kind(spec).state(spec):
         raise TypeError(f"run_batches requires a recurrent layer, "
                         f"got {layer_type_name(spec)}")
     counters = OpCounters()
     outputs = []
-    state = zero_state(spec)
+    state = None  # zero
     for batch in batches:
-        if state_mode == "stateless":
-            state = zero_state(spec)
-        out, state, c = step(batch, state)
+        out, state, c = _execute(spec, weights, batch, mode,
+                                 state if state_mode == "stateful" else None,
+                                 feedback_enabled)
         counters.merge(c)
         outputs.append(out)
     return outputs, counters
@@ -647,25 +660,15 @@ def iir_filter(a, b, x) -> np.ndarray:
 
 
 def _nominal_input(spec, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec, Dense):
-        return rng.uniform(-1.0, 1.0, size=spec.n_i)
-    return rng.uniform(-1.0, 1.0, size=(spec.n_s, spec.n_i))
+    return rng.uniform(-1.0, 1.0, size=arch.layer_kind(spec).input_shape(spec))
 
 
 def run_layer(spec, weights, x, mode: Mode = "float",
               feedback_enabled: bool = False
               ) -> tuple[np.ndarray, OpCounters]:
     """Execute one layer on its nominal input shape; returns output+counters."""
-    if isinstance(spec, Dense):
-        return forward_dense(spec, weights, x, mode)
-    if isinstance(spec, Conv1D):
-        return forward_conv1d(spec, weights, x, mode)
-    if isinstance(spec, EchoState):
-        out, _, counters = forward_esn(spec, weights, x, mode,
-                                       feedback_enabled=feedback_enabled)
-        return out, counters
-    forward = _RECURRENT_FORWARD[type(spec)]
-    out, _, counters = forward(spec, weights, x, mode)
+    out, _, counters = _execute(spec, weights, x, mode,
+                                feedback=feedback_enabled)
     return out, counters
 
 

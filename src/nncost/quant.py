@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arch
-from .arch import Conv1D, Dense, EchoState, GRU, LSTM, VanillaRNN
 from .errors import DomainError, ShapeError
 
 
@@ -353,39 +352,19 @@ def cluster_weights(weights, c: int) -> SharedWeights:
 
 def multiplicative_weight_count(layer: arch.LayerSpec) -> int:
     """Number of stored weights that each feed a multiplication."""
-    if isinstance(layer, Dense):
-        return layer.n_n * layer.n_i
-    if isinstance(layer, Conv1D):
-        return layer.n_f * layer.n_i * layer.n_k
-    if isinstance(layer, VanillaRNN):
-        return layer.n_h * (layer.n_i + layer.n_h)
-    if isinstance(layer, LSTM):
-        return 4 * layer.n_h * (layer.n_i + layer.n_h)
-    if isinstance(layer, GRU):
-        return 3 * layer.n_h * (layer.n_i + layer.n_h)
-    if isinstance(layer, EchoState):
-        return (layer.N_r * layer.n_i + layer.N_r * layer.row_nonzeros
-                + layer.n_o * layer.N_r)
-    raise TypeError(f"unsupported layer: {layer!r}")
-
-
-def _weight_reuse(layer: arch.LayerSpec) -> int:
-    """How many multiplications one stored weight performs per inference."""
-    if isinstance(layer, Dense):
-        return 1
-    if isinstance(layer, Conv1D):
-        return layer.output_size
-    return layer.n_s
+    kind = arch.layer_kind(layer)
+    shapes = kind.weights(layer)
+    return sum(shapes[name][0] * layer.row_nonzeros if name == kind.sparse
+               else math.prod(shapes[name]) for name in kind.pruned)
 
 
 def effective_rm(layer: arch.LayerSpec, mask: PruneMask) -> int:
     """Multiplication count after zero-skipping the pruned weights."""
-    from .costmodel import rm_layer
-
     expected = multiplicative_weight_count(layer)
     if mask.keep.size != expected:
         raise ShapeError(
             f"mask has {mask.keep.size} entries, layer has {expected} "
             f"multiplicative weights")
     pruned = int(mask.keep.size - np.count_nonzero(mask.keep))
-    return rm_layer(layer) - pruned * _weight_reuse(layer)
+    kind = arch.layer_kind(layer)
+    return kind.rm(layer) - pruned * kind.reuse(layer)

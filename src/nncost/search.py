@@ -42,6 +42,10 @@ _METRICS = ("rm", "bop", "nabs")
 _COST_MEMO_LIMIT = 1 << 14
 
 
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Search space
 
@@ -64,8 +68,7 @@ class Dimension:
             if not self.values:
                 raise ValueError("categorical dimension needs values")
         else:
-            if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                   for v in (self.low, self.high)):
+            if not (_number(self.low) and _number(self.high)):
                 raise ValueError("range dimension needs numeric low and high")
             if self.low > self.high:
                 raise ValueError("range dimension needs low <= high")
@@ -248,6 +251,13 @@ class SearchSpace:
     @staticmethod
     def from_json(doc: dict) -> "SearchSpace":
         """Space from its JSON document; SchemaError names the bad field."""
+        if not isinstance(doc, dict):
+            raise SchemaError("$", "space must be an object")
+        for name in ("dimensions", "template"):
+            if name not in doc:
+                raise SchemaError(name, "missing field")
+        if not isinstance(doc["template"], dict):
+            raise SchemaError("template", "must be an object")
         entries = doc["dimensions"]
         if not isinstance(entries, list) or not entries:
             raise SchemaError("dimensions", "must be a nonempty array")
@@ -281,8 +291,7 @@ class SearchSpace:
             raise SchemaError("constraint.metric",
                               f"must be one of rm, bop, nabs, got {metric!r}")
         budget = constraint.get("budget")
-        if budget is not None and (isinstance(budget, bool)
-                                   or not isinstance(budget, numbers.Real)):
+        if budget is not None and not _number(budget):
             raise SchemaError("constraint.budget", "must be a number")
         bits_doc = doc.get("bits", {})
         if not isinstance(bits_doc, dict):
@@ -359,8 +368,21 @@ def synth_task_fir(taps, noise_std: float, n_samples: int, seed: int) -> Task:
 
 
 def task_from_json(doc: dict) -> Task:
-    return synth_task_fir(doc["taps"], doc["noise_std"], doc["n_samples"],
-                          doc["seed"])
+    """Task from its JSON document; SchemaError names the bad field."""
+    if not isinstance(doc, dict):
+        raise SchemaError("$", "task must be an object")
+    for name in ("taps", "noise_std", "n_samples", "seed"):
+        if name not in doc:
+            raise SchemaError(name, "missing field")
+    taps, noise_std = doc["taps"], doc["noise_std"]
+    if not isinstance(taps, list) or not taps or not all(map(_number, taps)):
+        raise SchemaError("taps", "must be a nonempty array of numbers")
+    if not _number(noise_std) or not noise_std >= 0:
+        raise SchemaError("noise_std", "must be a number >= 0")
+    for name, low in (("n_samples", 1), ("seed", 0)):
+        if type(doc[name]) is not int or doc[name] < low:  # bool excluded
+            raise SchemaError(name, f"must be an integer >= {low}")
+    return synth_task_fir(taps, noise_std, doc["n_samples"], doc["seed"])
 
 
 @dataclass(frozen=True)
@@ -404,40 +426,20 @@ def _input_windows(stream: np.ndarray, width: int) -> np.ndarray:
 def featurize(net: NetworkSpec, stream, seed: int) -> np.ndarray:
     """Hidden representation of the stream under seeded fixed weights.
 
-    Each layer transforms the per-step feature vectors of its predecessor;
-    recurrent layers run statefully over the whole stream from zero state.
-    The final features come from the last layer: its per-step output, or
-    the reservoir state when the last layer is an echo state network (the
-    readout of a reservoir is fitted, not random).
+    Each layer transforms the per-step feature vectors of its predecessor
+    (``interp.run_stream``): recurrent layers run statefully over the whole
+    stream from zero state, feedforward layers per step. The final features
+    come from the last layer: its per-step output, or the reservoir state
+    when the last layer is an echo state network (the readout of a
+    reservoir is fitted, not random).
     """
     stream = np.asarray(stream, dtype=float)
     features = _input_windows(stream, net.layers[0].n_i)
     for index, layer in enumerate(net.layers):
         weights = interp.random_weights(
             layer, np.random.default_rng([seed, index]))
-        last = index == len(net.layers) - 1
-        if isinstance(layer, arch.Dense):
-            rows = [interp.forward_dense(layer, weights, row)[0]
-                    for row in features]
-            features = np.stack(rows)
-        elif isinstance(layer, arch.Conv1D):
-            n = features.shape[0]
-            padded = np.vstack([np.zeros((layer.n_s - 1, layer.n_i)),
-                                features])
-            rows = []
-            for t in range(n):
-                window = padded[t:t + layer.n_s]
-                maps, _ = interp.forward_conv1d(layer, weights, window)
-                rows.append(maps.reshape(-1))
-            features = np.stack(rows)
-        elif isinstance(layer, arch.EchoState):
-            trace: list = []
-            y_seq, _, _ = interp.forward_esn(layer, weights, features,
-                                             state_trace=trace)
-            features = np.stack(trace) if last else y_seq
-        else:
-            forward = interp._RECURRENT_FORWARD[type(layer)]
-            features, _, _ = forward(layer, weights, features)
+        outputs, states = interp.run_stream(layer, weights, features)
+        features = states if index == len(net.layers) - 1 else outputs
     return features
 
 

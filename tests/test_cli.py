@@ -198,3 +198,84 @@ class TestSweep:
 
     def test_bad_budgets_exit_2(self, space_file, task_file):
         assert main(["sweep", space_file, task_file, "--budgets", "a,b"]) == 2
+
+
+TASK = {"taps": [0.8, 0.4], "noise_std": 0.05, "n_samples": 60, "seed": 3}
+
+
+def _argv(command, space, task, *extra):
+    argv = [command, str(space), str(task), *extra]
+    return argv + ["--budgets", "900000"] if command == "sweep" else argv
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("field", list(TASK))
+    def test_missing_task_field_exit_2(self, command, field, space_file,
+                                       tmp_path, capsys):
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({k: v for k, v in TASK.items()
+                                    if k != field}))
+        assert main(_argv(command, space_file, task)) == 2
+        assert f"error: {field}: missing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("taps", []), ("taps", [1.0, "a"]), ("taps", 0.5),
+        ("noise_std", -0.1), ("noise_std", "0.1"), ("n_samples", 2.5),
+        ("n_samples", 0), ("seed", -1), ("seed", True),
+    ])
+    def test_bad_task_field_exit_2(self, field, value, space_file, tmp_path,
+                                   capsys):
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({**TASK, field: value}))
+        assert main(_argv("search", space_file, task)) == 2
+        assert f"error: {field}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("field", ["dimensions", "template"])
+    def test_missing_space_field_exit_2(self, command, field, space_file,
+                                        task_file, tmp_path, capsys):
+        doc = json.loads(open(space_file).read())
+        del doc[field]
+        space = tmp_path / "bad_space.json"
+        space.write_text(json.dumps(doc))
+        assert main(_argv(command, space, task_file)) == 2
+        assert f"error: {field}: missing field" in capsys.readouterr().err
+
+    def test_template_not_object_exit_2(self, space_file, task_file,
+                                        tmp_path, capsys):
+        doc = {**json.loads(open(space_file).read()), "template": []}
+        space = tmp_path / "bad_space.json"
+        space.write_text(json.dumps(doc))
+        assert main(_argv("search", space, task_file)) == 2
+        assert "error: template: must be an object" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("n_samples, folds", [(2, 3), (60, 1)])
+    def test_folds_checked_before_search(self, command, n_samples, folds,
+                                         space_file, tmp_path, capsys,
+                                         monkeypatch):
+        from nncost import bayesopt
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(bayesopt, "bo_optimize", no_search)
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({**TASK, "n_samples": n_samples}))
+        argv = _argv(command, space_file, task, "--folds", str(folds))
+        assert main(argv) == 2
+        assert f"error: --folds {folds} must satisfy" in (
+            capsys.readouterr().err)
+
+    def test_internal_key_error_exit_1(self, space_file, task_file,
+                                       monkeypatch, capsys):
+        from nncost import search
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(search, "make_objective", broken)
+        assert main(_argv("search", space_file, task_file)) == 1
+        assert "internal error" in capsys.readouterr().err

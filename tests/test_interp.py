@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from nncost import interp, quant
+from nncost import arch, interp, quant
 from nncost.arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
                          NetworkSpec, VanillaRNN)
 from nncost.costmodel import rm_layer
@@ -433,3 +433,131 @@ class TestStableSigmoid:
     def test_shapes_preserved(self):
         for v in (np.asarray(0.3), np.zeros((3, 4)), np.zeros(0)):
             assert interp._stable_sigmoid(v).shape == v.shape
+
+
+SIX_KINDS = [Dense(3, 2), Conv1D(n_f=2, n_i=2, n_k=2, n_s=5),
+             VanillaRNN(2, 3, 4), LSTM(2, 3, 4), GRU(2, 3, 4),
+             EchoState(n_i=2, N_r=6, s_p=0.5, n_o=2, n_s=4)]
+RECURRENT_FORWARD = {VanillaRNN: forward_rnn, LSTM: forward_lstm,
+                     GRU: forward_gru, EchoState: forward_esn}
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("spec, name, shape", [
+        (SIX_KINDS[0], "b", (1,)),
+        (SIX_KINDS[1], "biases", (1,)),
+        (SIX_KINDS[2], "b", (1,)),
+        (SIX_KINDS[3], "b", (4, 1)),
+        (SIX_KINDS[4], "b", (3, 1)),
+        (SIX_KINDS[5], "b_o", (1,)),
+    ])
+    def test_broadcastable_bias_rejected(self, spec, name, shape):
+        rng = np.random.default_rng(30)
+        w = random_weights(spec, rng)
+        setattr(w, name, np.zeros(shape))
+        with pytest.raises(ShapeError, match=name):
+            interp.run_layer(spec, w, interp._nominal_input(spec, rng))
+
+    @pytest.mark.parametrize("spec", SIX_KINDS)
+    def test_every_weight_checked(self, spec):
+        rng = np.random.default_rng(31)
+        x = interp._nominal_input(spec, rng)
+        w = random_weights(spec, rng)
+        interp.run_layer(spec, w, x)
+        for name, value in vars(w).items():
+            bad = copy.deepcopy(w)
+            setattr(bad, name, np.zeros((value.shape[0] + 1,)
+                                        + value.shape[1:]))
+            with pytest.raises(ShapeError, match=name):
+                interp.run_layer(spec, bad, x)
+
+    @pytest.mark.parametrize("spec", SIX_KINDS[2:])
+    def test_wrong_length_state_rejected(self, spec):
+        rng = np.random.default_rng(32)
+        w = random_weights(spec, rng)
+        x = interp._nominal_input(spec, rng)
+        forward = RECURRENT_FORWARD[type(spec)]
+        for name, value in vars(zero_state(spec)).items():
+            if value is None:
+                continue
+            state = CellState(**{name: np.zeros(value.size + 1)})
+            with pytest.raises(ShapeError, match=f"init_state.{name}"):
+                forward(spec, w, x, init_state=state)
+
+    def test_conv_input_length_checked(self):
+        spec = SIX_KINDS[1]
+        w = random_weights(spec, 33)
+        for n in (spec.n_s - 1, spec.n_s + 1):
+            with pytest.raises(ShapeError):
+                forward_conv1d(spec, w, np.ones((n, spec.n_i)))
+
+    def test_esn_feedback_needs_w_back(self):
+        spec = SIX_KINDS[5]
+        w = random_weights(spec, 34)
+        w.W_back = None
+        x = np.ones((spec.n_s, spec.n_i))
+        forward_esn(spec, w, x)  # feedback off: W_back unused
+        with pytest.raises(ShapeError, match="W_back"):
+            forward_esn(spec, w, x, feedback_enabled=True)
+
+
+class TestBatchedFeedforward:
+    def test_dense_batch_equals_rows(self):
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            spec = Dense(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            w = random_weights(spec, rng)
+            X = rng.normal(size=(int(rng.integers(1, 200)), spec.n_i))
+            y, c = forward_dense(spec, w, X)
+            rows = np.stack([forward_dense(spec, w, x)[0] for x in X])
+            np.testing.assert_array_equal(y, rows)
+            assert c.mults == X.shape[0] * rm_layer(spec)
+
+    def test_conv_batch_equals_inputs(self):
+        spec = Conv1D(n_f=1, n_i=2, n_k=3, n_s=7, padding=1, stride=2)
+        w = random_weights(spec, 36)
+        X = np.random.default_rng(36).normal(size=(9, 7, 2))
+        maps, c = forward_conv1d(spec, w, X)
+        np.testing.assert_array_equal(
+            maps, np.stack([forward_conv1d(spec, w, x)[0] for x in X]))
+        assert c.mults == 9 * rm_layer(spec)
+
+
+class TestLayerKindTable:
+    def test_every_tag_has_an_entry(self):
+        for tag, cls in arch._TYPE_TAGS.items():
+            assert arch.KINDS[cls].tag == tag
+            assert cls in interp.EXECUTION
+        assert set(arch.KINDS) == set(interp.EXECUTION) == {
+            type(spec) for spec in SIX_KINDS}
+
+    @pytest.mark.parametrize("spec", SIX_KINDS)
+    def test_prune_walk_matches_weight_count(self, spec):
+        w = random_weights(spec, 37)
+        n = quant.multiplicative_weight_count(spec)
+        kind = arch.KINDS[type(spec)]
+        stored = sum(np.count_nonzero(getattr(w, name))
+                     if name == kind.sparse else getattr(w, name).size
+                     for name in kind.pruned)
+        assert stored == n
+        if isinstance(spec, EchoState):
+            assert np.count_nonzero(w.W_r) == spec.N_r * spec.row_nonzeros
+        pruned = interp.apply_prune_mask(w, quant.PruneMask(np.zeros(n)))
+        for name in kind.pruned:
+            assert not np.any(getattr(pruned, name))
+        for size in (n - 1, n + 1):
+            with pytest.raises(ShapeError):
+                interp.apply_prune_mask(w, quant.PruneMask(np.ones(size)))
+
+    @pytest.mark.parametrize("spec", [SIX_KINDS[0], SIX_KINDS[5]])
+    def test_prune_column_major_weights(self, spec):
+        w = random_weights(spec, 38)
+        n = quant.multiplicative_weight_count(spec)
+        mask = quant.PruneMask(np.arange(n) % 2 == 0)
+        want = interp.apply_prune_mask(w, mask)
+        for name in arch.KINDS[type(spec)].pruned:
+            setattr(w, name, np.asfortranarray(getattr(w, name)))
+        got = interp.apply_prune_mask(w, mask)
+        for name in arch.KINDS[type(spec)].pruned:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from nncost import arch, bayesopt, costmodel, quant, search
+from nncost import arch, bayesopt, costmodel, interp, quant, search
 from nncost.arch import Dense, EchoState, NetworkSpec
 from nncost.cli import main
 from nncost.errors import (DomainError, InfeasibleSpace, NNCostError,
@@ -595,3 +595,71 @@ class TestRecurrentSearchPinned:
                                    for row in text.splitlines()[1:]}
         assert sha256(text) == ("b6e78e671cb621d878fc4551a131697f"
                                 "2c651f899733d4531544576da9645be2")
+
+
+def reference_featurize(net, stream, seed):
+    """``featurize`` as it was before it ran through ``interp.run_stream``,
+    verbatim except that the recurrent forwards come from a local table."""
+    recurrent_forward = {arch.VanillaRNN: interp.forward_rnn,
+                         arch.LSTM: interp.forward_lstm,
+                         arch.GRU: interp.forward_gru}
+    stream = np.asarray(stream, dtype=float)
+    features = search._input_windows(stream, net.layers[0].n_i)
+    for index, layer in enumerate(net.layers):
+        weights = interp.random_weights(
+            layer, np.random.default_rng([seed, index]))
+        last = index == len(net.layers) - 1
+        if isinstance(layer, arch.Dense):
+            rows = [interp.forward_dense(layer, weights, row)[0]
+                    for row in features]
+            features = np.stack(rows)
+        elif isinstance(layer, arch.Conv1D):
+            n = features.shape[0]
+            padded = np.vstack([np.zeros((layer.n_s - 1, layer.n_i)),
+                                features])
+            rows = []
+            for t in range(n):
+                window = padded[t:t + layer.n_s]
+                maps, _ = interp.forward_conv1d(layer, weights, window)
+                rows.append(maps.reshape(-1))
+            features = np.stack(rows)
+        elif isinstance(layer, arch.EchoState):
+            trace: list = []
+            y_seq, _, _ = interp.forward_esn(layer, weights, features,
+                                             state_trace=trace)
+            features = np.stack(trace) if last else y_seq
+        else:
+            forward = recurrent_forward[type(layer)]
+            features, _, _ = forward(layer, weights, features)
+    return features
+
+
+CONV = arch.Conv1D(n_f=2, n_i=3, n_k=3, n_s=5, padding=1, dilation=2,
+                   activation="relu")
+ESN = EchoState(n_i=3, N_r=12, s_p=0.3, n_o=2, n_s=8, leak=0.6)
+
+
+class TestFeaturizeMatchesReference:
+    @pytest.mark.parametrize("layers", [
+        (Dense(5, 3),),
+        (CONV,),
+        (arch.Conv1D(n_f=1, n_i=2, n_k=2, n_s=4, activation="linear"),),
+        (arch.VanillaRNN(3, 4, 8),),
+        (arch.LSTM(3, 6, 8),),
+        (arch.GRU(3, 5, 8, activation="relu"),),
+        (ESN,),
+        (Dense(7, 3, activation="relu"), Dense(4, 7, activation="sigmoid")),
+        (CONV, Dense(4, CONV.n_f * CONV.output_size)),
+        (arch.LSTM(3, 6, 8), Dense(2, 6)),
+        (ESN, Dense(3, 2)),
+    ], ids=["dense", "conv1d", "conv1d-nf1", "rnn", "lstm", "gru", "esn",
+            "dense-dense", "conv1d-dense", "lstm-dense", "esn-dense"])
+    def test_bitwise_equal(self, layers):
+        net = NetworkSpec("m", layers)
+        for seed in (0, 7):
+            task = synth_task_fir([0.8, -0.3, 0.1], 0.05, 257, seed=seed)
+            got = featurize(net, task.inputs, seed)
+            want = reference_featurize(net, task.inputs, seed)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
