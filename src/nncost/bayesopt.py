@@ -85,7 +85,8 @@ class GPModel:
 
 
 def kernel(x, x_prime, params: GPParams) -> float:
-    """Squared-exponential covariance between two points."""
+    """Squared-exponential covariance between two points: the pair's entry
+    of ``_kernel_matrix``, which the GP is fitted with."""
     x = np.asarray(x, dtype=float)
     x_prime = np.asarray(x_prime, dtype=float)
     if x.shape != x_prime.shape:
@@ -94,8 +95,8 @@ def kernel(x, x_prime, params: GPParams) -> float:
     ell = np.broadcast_to(np.asarray(params.length_scales, dtype=float),
                           x.shape)
     sv = 1.0 if params.signal_var is None else params.signal_var
-    sq = np.sum(((x - x_prime) / ell) ** 2)
-    return float(sv * math.exp(-0.5 * sq))
+    return float(_kernel_matrix(x.reshape(1, -1), x_prime.reshape(1, -1), sv,
+                                ell.reshape(-1))[0, 0])
 
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, signal_var: float,

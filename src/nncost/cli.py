@@ -9,6 +9,7 @@ diagnostics go to standard error. All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -54,13 +55,24 @@ def _load_json(path: str) -> dict:
 
 
 def _bits(args) -> BitwidthConfig:
+    """Widths from --bw/--bi/--ba; a bad one is an input error naming it."""
+    for name, flag in (("b_w", "bw"), ("b_i", "bi"), ("b_a", "ba")):
+        try:
+            BitwidthConfig(**{name: getattr(args, flag)})
+        except ValueError as exc:
+            raise SpecSyntaxError(
+                f"--{flag} {getattr(args, flag)}: {exc}") from exc
     return BitwidthConfig(b_w=args.bw, b_i=args.bi, b_a=args.ba)
 
 
 def cmd_estimate(args) -> int:
     net = parse_spec(_read_file(args.spec))
     bits = _bits(args)
-    scheme = search.parse_scheme(args.scheme, bits.b_w)
+    try:
+        scheme = search.parse_scheme(args.scheme, bits.b_w)
+    except ValueError as exc:
+        raise SpecSyntaxError(
+            f"--scheme {args.scheme} at --bw {bits.b_w}: {exc}") from exc
     report = costmodel.cost_report(net, bits, scheme)
     if args.format == "json":
         _emit(report.to_json_text() + "\n", args.output)
@@ -100,10 +112,8 @@ def _space_and_task(args) -> tuple[search.SearchSpace, search.Task]:
 def cmd_search(args) -> int:
     space, task = _space_and_task(args)
     if args.budget_nabs is not None:
-        space = search.SearchSpace(
-            dimensions=space.dimensions, template=space.template,
-            metric="nabs", budget=args.budget_nabs, bits=space.bits,
-            scheme=space.scheme)
+        space = dataclasses.replace(space, metric="nabs",
+                                    budget=args.budget_nabs)
     objective = search.make_objective(space, task, k=args.folds,
                                       eval_seed=args.seed)
     # space.screen also rejects structurally invalid candidates (e.g.
@@ -127,10 +137,7 @@ def cmd_sweep(args) -> int:
     if not budgets:
         raise SpecSyntaxError("--budgets must list at least one integer")
     if args.metric is not None:
-        space = search.SearchSpace(
-            dimensions=space.dimensions, template=space.template,
-            metric=args.metric, budget=space.budget, bits=space.bits,
-            scheme=space.scheme)
+        space = dataclasses.replace(space, metric=args.metric)
     result = search.complexity_sweep(space, task, budgets, iters=args.iters,
                                      seed=args.seed, n_init=args.init,
                                      k=args.folds)

@@ -88,9 +88,6 @@ class CostReport:
     bop: int
     nabs: int
 
-    def total(self, metric: str) -> int:
-        return getattr(self, metric.lower())
-
     def to_json(self) -> dict:
         return {
             "per_layer": [vars(entry) for entry in self.per_layer],

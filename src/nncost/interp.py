@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import arch, costmodel, quant
 from .arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
                    NetworkSpec, VanillaRNN, layer_type_name)
-from .errors import EmptyOutput, ShapeError
+from .errors import DomainError, EmptyOutput, ShapeError
 
 
 @dataclass
@@ -65,11 +65,8 @@ class OpCounters:
     overflows: int = 0
 
     def merge(self, other: "OpCounters") -> "OpCounters":
-        self.mults += other.mults
-        self.adds += other.adds
-        self.shifts += other.shifts
-        self.activations += other.activations
-        self.overflows += other.overflows
+        for name in vars(self):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def as_dict(self) -> dict:
@@ -107,13 +104,15 @@ def _activate(name: str, v, counters: OpCounters):
 
 
 def _quantize_operand(x: np.ndarray, b_i: int) -> tuple[np.ndarray, float]:
-    """Symmetric uniform input quantization; returns values and the scale."""
-    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
-    if max_abs == 0.0:
-        return np.zeros_like(x, dtype=float), 1.0
-    q_max = (1 << (b_i - 1)) - 1
-    scale = max_abs / q_max
-    return np.round(x / scale) * scale, scale
+    """``quant.quantize_uniform`` of an input to b_i >= 2 bits; returns
+    values and the scale. DomainError for b_i < 2 or a non-finite input."""
+    if b_i < 2:
+        raise DomainError(f"b_i = {b_i}: fixed-point inputs need b_i >= 2")
+    try:
+        q = quant.quantize_uniform(x, b_i)
+    except DomainError:
+        raise DomainError("fixed-point input must be finite") from None
+    return q.values, q.scale
 
 
 class _CountedMatrix:
@@ -131,8 +130,11 @@ class _CountedMatrix:
         self.shift_events = 0
         self.extra_adds = 0
         self.scale = None
+        self.acc_width = None
         nnz = int(np.count_nonzero(values))
         if isinstance(mode, FixedPoint):
+            self.acc_width = costmodel.acc_bits(
+                self.cols, mode.bits.b_w, mode.bits.b_i)
             qw = quant.quantize(values, mode.scheme)
             self.values = qw.values
             scheme = mode.scheme
@@ -149,10 +151,6 @@ class _CountedMatrix:
         else:
             self.values = values
             self.mult_events = nnz
-        self.acc_width = None
-        if isinstance(mode, FixedPoint):
-            self.acc_width = costmodel.acc_bits(
-                self.cols, mode.bits.b_w, mode.bits.b_i)
 
     def apply(self, x: np.ndarray, counters: OpCounters,
               input_scale: float | None = None) -> np.ndarray:
@@ -486,6 +484,8 @@ def _execute(spec, weights, x, mode: Mode = "float",
              state_trace: list | None = None):
     """The skeleton behind every forward pass; returns (output, final state
     or None, counters). See the module docstring."""
+    if not (isinstance(mode, FixedPoint) or mode == "float"):
+        raise DomainError(f"mode must be 'float' or FixedPoint: {mode!r}")
     kind = arch.layer_kind(spec)
     x = np.asarray(x, dtype=float)
     _check_shapes(spec, kind, weights, x, init_state)
@@ -510,21 +510,24 @@ def _execute(spec, weights, x, mode: Mode = "float",
     return outs, state, counters
 
 
-def forward_dense(spec: Dense | Conv1D, weights, x, mode: Mode = "float"
-                  ) -> tuple[np.ndarray, OpCounters]:
-    """Run a feedforward layer with counted operations.
+def run_layer(spec, weights, x, mode: Mode = "float",
+              feedback_enabled: bool = False
+              ) -> tuple[np.ndarray, OpCounters]:
+    """Run one layer with counted operations; returns output and counters.
 
     Dense: y = phi(W x + b) for x of n_i features. Conv1D: feature maps of
     shape (n_f, output_size) for x of shape (n_s, n_i). ``x`` may also be a
     batch of such inputs along a leading axis: counted once per input, one
     fixed-point input scale for the batch, convolutions run input by input.
-    ``forward_conv1d`` is this function: the spec's kind picks the step.
+    A recurrent layer runs the sequence ``x`` from zero state.
+    ``forward_dense`` and ``forward_conv1d`` are this function.
     """
-    y, _, counters = _execute(spec, weights, x, mode)
-    return y, counters
+    out, _, counters = _execute(spec, weights, x, mode,
+                                feedback=feedback_enabled)
+    return out, counters
 
 
-forward_conv1d = forward_dense
+forward_dense = forward_conv1d = run_layer
 
 
 def forward_rnn(spec: VanillaRNN | LSTM | GRU, weights, x_seq,
@@ -663,15 +666,6 @@ def _nominal_input(spec, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=arch.layer_kind(spec).input_shape(spec))
 
 
-def run_layer(spec, weights, x, mode: Mode = "float",
-              feedback_enabled: bool = False
-              ) -> tuple[np.ndarray, OpCounters]:
-    """Execute one layer on its nominal input shape; returns output+counters."""
-    out, _, counters = _execute(spec, weights, x, mode,
-                                feedback=feedback_enabled)
-    return out, counters
-
-
 @dataclass
 class LayerAudit:
     layer_index: int
@@ -727,8 +721,11 @@ def audit(net: NetworkSpec, bits: BitwidthConfig, scheme: quant.QuantScheme,
 
     Each layer runs independently on its nominal input shape (one pass for
     a dense layer, n_s steps for sequence layers), which is exactly what
-    the analytic per-layer counts describe.
-    """
+    the analytic per-layer counts describe. A ``FixedPoint`` mode must
+    carry the audited ``bits`` and ``scheme``, or DomainError is raised."""
+    if isinstance(mode, FixedPoint) and mode != FixedPoint(bits, scheme):
+        raise DomainError(f"fixed-point mode {mode!r} differs from the "
+                          f"audited bits {bits!r} and scheme {scheme!r}")
     per_layer = []
     totals = OpCounters()
     for index, layer in enumerate(net.layers):

@@ -142,8 +142,8 @@ class SearchSpace:
     column at once, groups the rows by decoded architecture (the tuple of
     integer values, float values and category indices) and looks each
     distinct architecture up once. It is the constraint the optimizer
-    calls: an (m, n_dims) pool in, m booleans out. ``feasible`` is the
-    same test for one point, through the same decoder.
+    calls: an (m, n_dims) pool in, m booleans out. ``feasible`` is a
+    one-row ``screen``.
 
     Cost totals are computed once per distinct decoded architecture and
     kept for the life of the space. Budgets apply when the totals are
@@ -211,12 +211,6 @@ class SearchSpace:
             self._costs[key] = totals
         return totals
 
-    def _admits(self, key: tuple, budget: int | None) -> bool:
-        totals = self._totals(key)
-        limit = self.budget if budget is None else budget
-        return totals is not None and (
-            limit is None or totals[_METRICS.index(self.metric)] <= limit)
-
     def decode(self, theta) -> dict:
         return self._params(self._key(theta))
 
@@ -224,15 +218,16 @@ class SearchSpace:
         return self._network(self._key(theta))
 
     def feasible(self, theta, budget: int | None = None) -> bool:
-        """Valid network within the budget (if any); errors mean infeasible."""
+        """``screen`` of one point; a point of the wrong size or holding NaN
+        is infeasible."""
         try:
-            key = self._key(theta)
+            return bool(self.screen(np.reshape(theta, (1, -1)), budget)[0])
         except DomainError:
             return False
-        return self._admits(key, budget)
 
     def screen(self, pool, budget: int | None = None) -> np.ndarray:
-        """``feasible`` for every row of an (m, n_dims) pool, as m booleans.
+        """Per row of an (m, n_dims) pool, whether it decodes to a valid
+        network within the budget (``self.budget`` when None), as m booleans.
 
         Each distinct decoded architecture in the pool is looked up once.
         A pool of the wrong shape, or one holding NaN, raises DomainError.
@@ -244,9 +239,10 @@ class SearchSpace:
         columns = self._columns(pool)
         first, group = _distinct_rows(columns)
         keys = zip(*(column[first].tolist() for column in columns))
-        verdicts = np.array([self._admits(key, budget) for key in keys],
-                            dtype=bool)
-        return verdicts[group]
+        limit = self.budget if budget is None else budget
+        index = _METRICS.index(self.metric)
+        return np.array([t is not None and (limit is None or t[index] <= limit)
+                         for t in map(self._totals, keys)], dtype=bool)[group]
 
     @staticmethod
     def from_json(doc: dict) -> "SearchSpace":
@@ -322,18 +318,17 @@ class SearchSpace:
 
 
 def parse_scheme(text: str, b_w: int) -> quant.QuantScheme:
-    """Scheme from its CLI spelling: float | uniform | pot | apot:K."""
-    text = text.lower()
-    if text == "float":
-        return quant.Float(b_w)
-    if text == "uniform":
-        return quant.FixedUniform(b_w)
-    if text == "pot":
-        return quant.PoT(b_w)
-    if text.startswith("apot"):
-        k = int(text.split(":", 1)[1]) if ":" in text else 2
-        return quant.APoT(b_w, k)
-    raise ValueError(f"unknown scheme {text!r}")
+    """Scheme from its CLI spelling, any case: float | uniform | pot | apot
+    | apot:K (apot is apot:2). ValueError for any other text."""
+    name, colon, k = text.lower().partition(":")
+    simple = {"float": quant.Float, "uniform": quant.FixedUniform,
+              "pot": quant.PoT}
+    if name in simple and not colon:
+        return simple[name](b_w)
+    if name == "apot" and (not colon or k.isascii() and k.isdigit()):
+        return quant.APoT(b_w, int(k) if colon else 2)
+    raise ValueError(f"unknown scheme {text!r}; expected float, uniform, pot, "
+                     f"apot or apot:K")
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,51 @@ class TestKernel:
         with pytest.raises(DimensionMismatch):
             kernel([0.0], [0.0, 1.0], GPParams())
 
+    @staticmethod
+    def reference_kernel(x, x_prime, params):
+        """The per-pair formula ``kernel`` had before it read its value from
+        ``_kernel_matrix``, kept verbatim (its shape check left out)."""
+        x = np.asarray(x, dtype=float)
+        x_prime = np.asarray(x_prime, dtype=float)
+        ell = np.broadcast_to(np.asarray(params.length_scales, dtype=float),
+                              x.shape)
+        sv = 1.0 if params.signal_var is None else params.signal_var
+        sq = np.sum(((x - x_prime) / ell) ** 2)
+        return float(sv * math.exp(-0.5 * sq))
+
+    def test_matches_old_formula(self):
+        rng = np.random.default_rng(31)
+        got, want = [], []
+        for i in range(3000):
+            d = int(rng.integers(1, 8))
+            ell = (rng.uniform(0.05, 2.0, d) if i % 2
+                   else float(rng.uniform(0.05, 2.0)))
+            params = GPParams(length_scales=ell,
+                              signal_var=None if i % 3 == 0
+                              else float(rng.uniform(0.1, 3.0)))
+            x, x_prime = rng.uniform(-2.0, 2.0, (2, d))
+            if i % 7 == 0:
+                x_prime = x
+            got.append(kernel(x, x_prime, params))
+            want.append(self.reference_kernel(x, x_prime, params))
+        # np.exp and math.exp may round the last bit apart, and the product
+        # with the signal variance once more.
+        np.testing.assert_array_max_ulp(np.array(got), np.array(want),
+                                        maxulp=2)
+
+    def test_is_an_entry_of_the_fitted_covariance(self):
+        rng = np.random.default_rng(32)
+        X = rng.uniform(size=(7, 3))
+        model = gp_fit([trial(x, float(rng.normal())) for x in X],
+                       GPParams(length_scales=np.array([0.2, 0.5, 0.9])))
+        K = bayesopt._kernel_matrix(X, X, model.signal_var,
+                                    model.length_scales)
+        params = GPParams(length_scales=model.length_scales,
+                          signal_var=model.signal_var)
+        for i in range(7):
+            for j in range(7):
+                assert kernel(X[i], X[j], params) == K[i, j]
+
 
 class TestGP:
     def test_single_trial_interpolates(self):

@@ -76,6 +76,21 @@ class TestEstimate:
             {"type": "dense", "n_n": 0, "n_i": 1}]}))
         assert main(["estimate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--scheme", "foo"], "--scheme foo at --bw 8"),
+        (["--scheme", "apot:x"], "--scheme apot:x at --bw 8"),
+        (["--scheme", "apot:9"], "--scheme apot:9 at --bw 8"),
+        (["--scheme", "apotgarbage"], "--scheme apotgarbage at --bw 8"),
+        (["--bw", "1", "--scheme", "pot"], "--scheme pot at --bw 1"),
+        (["--bw", "0"], "--bw 0"),
+        (["--bw", "65"], "--bw 65"),
+        (["--bi", "0"], "--bi 0"),
+        (["--ba", "-3"], "--ba -3"),
+    ])
+    def test_bad_flag_exit_2(self, net_file, flags, named, capsys):
+        assert main(["estimate", net_file, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
+
     def test_output_file(self, net_file, tmp_path):
         out = tmp_path / "report.csv"
         assert main(["estimate", net_file, "-o", str(out)]) == 0

@@ -10,7 +10,7 @@ from nncost import arch, interp, quant
 from nncost.arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
                          NetworkSpec, VanillaRNN)
 from nncost.costmodel import rm_layer
-from nncost.errors import EmptyOutput, ShapeError
+from nncost.errors import DomainError, EmptyOutput, ShapeError
 from nncost.interp import (CellState, DenseWeights, FixedPoint, OpCounters,
                            audit, fir_filter, forward_conv1d, forward_dense,
                            forward_esn, forward_gru, forward_lstm,
@@ -561,3 +561,138 @@ class TestLayerKindTable:
         for name in arch.KINDS[type(spec)].pruned:
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(want, name))
+
+
+def reference_quantize_operand(x, b_i):
+    """The input quantizer ``interp._quantize_operand`` had before it called
+    ``quant.quantize_uniform``, kept verbatim."""
+    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
+    if max_abs == 0.0:
+        return np.zeros_like(x, dtype=float), 1.0
+    q_max = (1 << (b_i - 1)) - 1
+    scale = max_abs / q_max
+    return np.round(x / scale) * scale, scale
+
+
+class TestInputQuantization:
+    """Fixed-point inputs go through ``quant.quantize_uniform``. Bit for bit
+    it gives what the old formula gave, with two exceptions. The sign of a
+    zero: a negative input that rounds to 0 was -0.0 and is now +0.0 (the
+    integer code 0 times the scale). And the range: where the scale is
+    inexact (b_i >= 53, or a subnormal scale) the old formula could round
+    an input one step past the largest b_i-bit code; the quantizer clips
+    it."""
+
+    @staticmethod
+    def inputs(b_i):
+        rng = np.random.default_rng(b_i)
+        q_max = (1 << (b_i - 1)) - 1
+        halves = np.arange(-4, 4) + 0.5  # x / scale hits k + 0.5 exactly
+        yield np.concatenate([[float(q_max), -float(q_max)], halves,
+                              float(q_max) - halves[-3:]])
+        for magnitude in (1e-290, 1e-3, 1.0, 7.0, 1e12):
+            yield rng.uniform(-magnitude, magnitude, 257)
+            yield rng.uniform(-magnitude, magnitude, (9, 4))  # a sequence
+        top = rng.uniform(-1.0, 1.0, 64)
+        top[[3, 40]] = 2.5, -2.5  # +max and -max both present
+        yield top
+        yield np.array([-3.0, 0.1, 1e-9, -1e-9])  # only -max present
+        yield np.zeros(6)
+        yield np.array([0.0, -0.0, -0.0])
+        yield np.zeros((0, 3))
+
+    @pytest.mark.parametrize("b_i", [2, 3, 4, 5, 8, 12, 16, 24, 32, 52])
+    def test_matches_old_formula(self, b_i):
+        for x in self.inputs(b_i):
+            got, got_scale = interp._quantize_operand(x, b_i)
+            want, want_scale = reference_quantize_operand(x, b_i)
+            assert got_scale == want_scale
+            assert got.shape == want.shape and got.dtype == want.dtype
+            nonzero = want != 0.0
+            np.testing.assert_array_equal(got == 0.0, ~nonzero)
+            np.testing.assert_array_equal(got[nonzero].view(np.uint64),
+                                          want[nonzero].view(np.uint64))
+
+    @pytest.mark.parametrize("b_i, magnitude", [(53, 1.0), (60, 1.0),
+                                                 (52, 1e-300), (8, 1e-310)])
+    def test_codes_stay_in_range(self, b_i, magnitude):
+        q_max = (1 << (b_i - 1)) - 1
+        x = np.random.default_rng(b_i).uniform(-magnitude, magnitude, 4096)
+        got, scale = interp._quantize_operand(x, b_i)
+        assert np.all(np.abs(got) <= float(q_max) * scale)
+
+    def test_widest_input_keeps_its_sign(self):
+        x = np.array([1.0, -1.0, 0.3, -0.7])
+        got, _ = interp._quantize_operand(x, 64)
+        np.testing.assert_allclose(got, x, rtol=2.0 ** -52, atol=0.0)
+
+    @pytest.mark.parametrize("run", [
+        lambda mode: forward_dense(Dense(2, 3), random_weights(Dense(2, 3), 0),
+                                   np.ones(3), mode),
+        lambda mode: forward_rnn(VanillaRNN(3, 2, 4),
+                                 random_weights(VanillaRNN(3, 2, 4), 0),
+                                 np.ones((4, 3)), mode),
+    ])
+    def test_one_bit_input_rejected(self, run):
+        mode = FixedPoint(BitwidthConfig(b_i=1), quant.FixedUniform(8))
+        with pytest.raises(DomainError, match="b_i"):
+            run(mode)
+
+    def test_one_bit_audit_rejected_in_fixed_point_only(self):
+        bits = BitwidthConfig(b_i=1)
+        scheme = quant.FixedUniform(8)
+        net = NetworkSpec("m", (Dense(2, 3),))
+        with pytest.raises(DomainError, match="b_i"):
+            audit(net, bits, scheme, seed=0, mode=FixedPoint(bits, scheme))
+        assert audit(net, bits, scheme, seed=0).max_abs_delta == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        mode = FixedPoint(BITS8, quant.PoT(8))
+        spec = Dense(2, 3)
+        w = random_weights(spec, 0)
+        with pytest.raises(DomainError, match="input must be finite"):
+            forward_dense(spec, w, np.array([0.5, bad, -0.2]), mode)
+        cell = LSTM(3, 2, 4)
+        x = np.ones((4, 3))
+        x[2, 1] = bad
+        with pytest.raises(DomainError, match="input must be finite"):
+            forward_lstm(cell, random_weights(cell, 0), x, mode)
+        forward_dense(spec, w, np.array([0.5, bad, -0.2]))  # float: no check
+
+
+class TestExecutionConfig:
+    NET = NetworkSpec("m", (Dense(4, 3), LSTM(3, 2, 4)))
+
+    @pytest.mark.parametrize("mode", [
+        FixedPoint(BitwidthConfig(b_w=4), quant.FixedUniform(4)),
+        FixedPoint(BITS8, quant.FixedUniform(8)),
+        FixedPoint(BITS8, quant.APoT(8, 2)),
+        FixedPoint(BitwidthConfig(b_i=4), quant.PoT(8)),
+        FixedPoint(BitwidthConfig(b_a=4), quant.PoT(8)),
+    ])
+    def test_audit_rejects_other_fixed_point_config(self, mode):
+        with pytest.raises(DomainError, match="differs from the audited"):
+            audit(self.NET, BITS8, quant.PoT(8), seed=0, mode=mode)
+
+    def test_audit_accepts_its_own_config(self):
+        record = audit(self.NET, BITS8, quant.PoT(8), seed=0,
+                       mode=FixedPoint(BitwidthConfig(), quant.PoT(8)))
+        assert record.mode == "fixed" and record.max_abs_delta == 0
+
+    @pytest.mark.parametrize("mode", ["flaot", "fixed", "FLOAT", None,
+                                      quant.PoT(8), BITS8])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(DomainError, match="mode must be"):
+            audit(self.NET, BITS8, quant.PoT(8), seed=0, mode=mode)
+        spec = Dense(2, 3)
+        with pytest.raises(DomainError, match="mode must be"):
+            forward_dense(spec, random_weights(spec, 0), np.ones(3), mode)
+        cell = GRU(3, 2, 4)
+        with pytest.raises(DomainError, match="mode must be"):
+            run_batches(cell, random_weights(cell, 0), [np.ones((4, 3))],
+                        mode=mode)
+
+    def test_feedforward_entry_points_are_run_layer(self):
+        assert forward_dense is interp.run_layer
+        assert forward_conv1d is interp.run_layer

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ class TestUniform:
         w = rng.uniform(-2, 2, 500)
         qw = quantize_uniform(w, 8)
         assert np.max(np.abs(qw.values - w)) <= qw.scale / 2 + 1e-15
+
+    def test_widest_codes_keep_their_sign(self):
+        # float(2**63 - 1) rounds up to 2**63, which int64 cannot hold.
+        w = np.array([1.0, -1.0, 0.3, -0.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qw = quantize_uniform(w, 64)
+        np.testing.assert_array_equal(np.sign(qw.codes), np.sign(w))
+        np.testing.assert_allclose(qw.values, w, rtol=2.0 ** -52, atol=0.0)
 
 
 class TestPoT:

@@ -426,15 +426,22 @@ class TestPoolScreen:
 
     @pytest.mark.parametrize("make, budgets", SPACES)
     def test_pool_matches_pointwise(self, make, budgets):
-        pooled, pointwise = make(), make()
+        """Pool verdicts and one-row ``feasible`` against each row costed
+        afresh through its JSON document."""
+        space = make()
         rows = np.random.default_rng(21).uniform(
-            -0.3, 1.3, size=(2000, pooled.n_dims))
+            -0.3, 1.3, size=(2000, space.n_dims))
+        fresh = [fresh_totals(space, row) for row in rows]
         for budget in (None,) + budgets:
-            verdicts = pooled.screen(rows, budget=budget)
+            verdicts = space.screen(rows, budget=budget)
             assert verdicts.dtype == bool and verdicts.shape == (2000,)
-            expected = [pointwise.feasible(row, budget=budget)
-                        for row in rows]
+            limit = space.budget if budget is None else budget
+            expected = [totals is not None and (
+                limit is None or totals[space.metric] <= limit)
+                for totals in fresh]
             assert verdicts.tolist() == expected
+            assert [space.feasible(row, budget=budget)
+                    for row in rows] == expected
             if budget is not None:  # the budget splits the pool
                 assert 0 < verdicts.sum() < 2000
 
@@ -548,6 +555,7 @@ class TestSpaceSchema:
     @pytest.mark.parametrize("extra, path", [
         ({"scheme": "foo"}, "scheme"),
         ({"scheme": "apot:x"}, "scheme"),
+        ({"scheme": "apotgarbage"}, "scheme"),
         ({"scheme": 3}, "scheme"),
         ({"bits": {"b_w": 0}}, "bits.b_w"),
         ({"bits": {"b_a": "8"}}, "bits.b_a"),
@@ -569,6 +577,24 @@ class TestSpaceSchema:
             "constraint": {"metric": "BOP", "budget": 10}})
         assert space.metric == "bop"
         assert isinstance(space.scheme, quant.PoT)
+
+
+class TestParseScheme:
+    @pytest.mark.parametrize("text, scheme", [
+        ("float", quant.Float(8)), ("UNIFORM", quant.FixedUniform(8)),
+        ("pot", quant.PoT(8)), ("apot", quant.APoT(8, 2)),
+        ("apot:3", quant.APoT(8, 3)), ("APoT:07", quant.APoT(8, 7)),
+    ])
+    def test_spellings(self, text, scheme):
+        assert search.parse_scheme(text, 8) == scheme
+
+    @pytest.mark.parametrize("text", [
+        "foo", "", "apotgarbage", "apot2", "apot:", "apot:x", "apot:2:3",
+        "apot: 2", "apot:+2", "apot:\u00b2", "pot:2", "float:1", "apot:0",
+        "apot:8"])
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            search.parse_scheme(text, 8)
 
 
 class TestRecurrentSearchPinned:
