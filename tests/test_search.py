@@ -555,7 +555,6 @@ class TestSpaceSchema:
     @pytest.mark.parametrize("extra, path", [
         ({"scheme": "foo"}, "scheme"),
         ({"scheme": "apot:x"}, "scheme"),
-        ({"scheme": "apotgarbage"}, "scheme"),
         ({"scheme": 3}, "scheme"),
         ({"bits": {"b_w": 0}}, "bits.b_w"),
         ({"bits": {"b_a": "8"}}, "bits.b_a"),
@@ -565,6 +564,7 @@ class TestSpaceSchema:
         ({"constraint": {"metric": 1}}, "constraint.metric"),
         ({"constraint": {"budget": "10"}}, "constraint.budget"),
         ({"constraint": []}, "constraint"),
+        ({"scheme": "apotgarbage"}, "scheme"),
     ])
     def test_bad_field_names_path(self, extra, path):
         with pytest.raises(SchemaError) as err:
