@@ -12,6 +12,13 @@ fixed point, build the kind's step (``EXECUTION``), then apply it once to a
 feedforward input or once per time step, from the given or zero state,
 into an output buffer. Only the step differs between layer types.
 
+A recurrent step is fused. Each gate's input products W_g x_t are hoisted
+out of the time loop, one batched product per gate and block of steps; per
+step the U_g h fill one (G, n_h) buffer, (W x + U h) + b is one expression
+over all gates and one sigmoid covers the sigmoid gates. Counts are closed
+form: the per-step tally times the number of steps. The gates' matrices are
+never stacked into one (G n_h, n) matrix, whose product BLAS rounds apart.
+
 Counting conventions:
 
 * element-wise (Hadamard) products count one multiplication per element;
@@ -64,9 +71,9 @@ class OpCounters:
     activations: int = 0
     overflows: int = 0
 
-    def merge(self, other: "OpCounters") -> "OpCounters":
-        for name in vars(self):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+    def merge(self, other: "OpCounters", times: int = 1) -> "OpCounters":
+        for name, value in vars(other).items():
+            vars(self)[name] += times * value
         return self
 
     def as_dict(self) -> dict:
@@ -87,7 +94,8 @@ Mode = str | FixedPoint
 
 def _stable_sigmoid(v):
     e = np.exp(np.minimum(v, -v))  # -|v|, NaN sign kept; never overflows
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 _ACTIVATIONS = {
@@ -152,15 +160,18 @@ class _CountedMatrix:
             self.values = values
             self.mult_events = nnz
 
-    def apply(self, x: np.ndarray, counters: OpCounters,
-              input_scale: float | None = None) -> np.ndarray:
-        """Counted product self.values @ x for x of shape (cols,), (cols, m)
-        or (m, cols, 1): one application per column vector."""
-        applications = x.size // self.cols
+    def tally(self, counters: OpCounters, applications: int):
+        """Count ``applications`` products with this matrix."""
         counters.mults += self.mult_events * applications
         counters.shifts += self.shift_events * applications
         counters.adds += (self.rows * (self.cols - 1)
                           + self.extra_adds) * applications
+
+    def apply(self, x: np.ndarray, counters: OpCounters,
+              input_scale: float | None = None) -> np.ndarray:
+        """Counted product self.values @ x for x of shape (cols,), (cols, m)
+        or (m, cols, 1): one application per column vector."""
+        self.tally(counters, x.size // self.cols)
         y = self.values @ x
         if self.scale is not None and input_scale:
             # Saturating accumulator check in integer-code units.
@@ -179,25 +190,42 @@ def _bias_add(y: np.ndarray, b: np.ndarray, counters: OpCounters):
     return y + b
 
 
-def _hadamard(a: np.ndarray, b: np.ndarray, counters: OpCounters):
-    counters.mults += int(np.size(a))
-    return a * b
-
-
-def _vector_add(a: np.ndarray, b: np.ndarray, counters: OpCounters):
-    counters.adds += int(np.size(a))
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # Weights and steps: one class per layer kind
 
 
-def _gate(W: _CountedMatrix, U: _CountedMatrix, b, x, h, in_scale,
-          counters: OpCounters):
-    """W x + U h + b: the pre-activation of one recurrent gate."""
-    return _bias_add(_vector_add(W.apply(x, counters, in_scale),
-                                 U.apply(h, counters), counters), b, counters)
+_BLOCK = 256  # steps per hoisted input product: bounds its buffer
+
+
+def _gates(W, U, x, mode, in_scale, counters: OpCounters,
+           per_step: OpCounters):
+    """Counted products of a recurrent step's gates: W (G, rows, cols) and U
+    (G, rows, rows), or one gate's 2-D W and U. ``inputs(t)`` gives every
+    W_g x_t for t = 0, 1, ... in order, computed per gate and block of
+    _BLOCK steps; ``recur(h)`` every U_g h. Counts T times ``per_step``, the
+    U products and the add of W x + U h; the W products as they run."""
+    W, U = ([_CountedMatrix(m, mode) for m in a.reshape((-1,) + a.shape[-2:])]
+            for a in (W, U))
+    WX = np.empty((min(len(x), _BLOCK), len(W), W[0].rows))
+    UH = np.empty((len(U), U[0].rows))
+    for U_g in U:
+        U_g.tally(per_step, 1)
+    per_step.adds += UH.size
+    counters.merge(per_step, len(x))
+    products = [(U_g.values, out) for U_g, out in zip(U, UH)]
+
+    def inputs(t):
+        if t % _BLOCK == 0:
+            xs = x[t:t + _BLOCK, :, None]
+            for g, W_g in enumerate(W):
+                WX[:len(xs), g] = W_g.apply(xs, counters, in_scale)[..., 0]
+        return WX[t % _BLOCK]
+
+    def recur(h):
+        for U_g, out in products:
+            np.matmul(U_g, h, out=out)
+        return UH
+    return inputs, recur
 
 
 @dataclass
@@ -205,10 +233,10 @@ class DenseWeights:
     W: np.ndarray
     b: np.ndarray
 
-    def stepper(self, spec: Dense, mode, in_scale, counters, feedback):
+    def stepper(self, spec: Dense, x, mode, in_scale, counters, feedback):
         W = _CountedMatrix(self.W, mode)
 
-        def step(x, state):
+        def step(t, state):
             # x[..., None]: a column per input, which rounds like W @ x
             y = W.apply(x[..., None], counters, in_scale)[..., 0]
             return _activate(spec.activation, _bias_add(y, self.b, counters),
@@ -221,7 +249,7 @@ class ConvWeights:
     kernels: np.ndarray  # (n_f, n_k, n_i)
     biases: np.ndarray  # (n_f,)
 
-    def stepper(self, spec: Conv1D, mode, in_scale, counters, feedback):
+    def stepper(self, spec: Conv1D, x, mode, in_scale, counters, feedback):
         out_w = spec.output_size
         if out_w == 0:
             raise EmptyOutput("no valid kernel placement for this "
@@ -240,7 +268,7 @@ class ConvWeights:
             return _activate(spec.activation, _bias_add(
                 y, self.biases[:, None], counters), counters)
 
-        def step(x, state):
+        def step(t, state):
             # A batch runs input by input: one stacked product rounds
             # differently when n_f = 1.
             return maps(x) if x.ndim == 2 else np.stack([maps(s) for s in x])
@@ -253,13 +281,14 @@ class RNNWeights:
     U: np.ndarray  # (n_h, n_h)
     b: np.ndarray  # (n_h,)
 
-    def stepper(self, spec: VanillaRNN, mode, in_scale, counters, feedback):
-        W = _CountedMatrix(self.W, mode)
-        U = _CountedMatrix(self.U, mode)
+    def stepper(self, spec: VanillaRNN, x, mode, in_scale, counters,
+                feedback):
+        inputs, recur = _gates(self.W, self.U, x, mode, in_scale, counters,
+                               OpCounters(adds=spec.n_h, activations=spec.n_h))
+        act = _ACTIVATIONS[spec.activation]
 
-        def step(x, state):
-            state.h = _activate(spec.activation, _gate(
-                W, U, self.b, x, state.h, in_scale, counters), counters)
+        def step(t, state):
+            state.h = act(((inputs(t) + recur(state.h)) + self.b)[0])
             return state.h
         return step
 
@@ -272,22 +301,18 @@ class LSTMWeights:
     U: np.ndarray  # (4, n_h, n_h)
     b: np.ndarray  # (4, n_h)
 
-    def stepper(self, spec: LSTM, mode, in_scale, counters, feedback):
-        gates = list(zip([_CountedMatrix(W, mode) for W in self.W],
-                         [_CountedMatrix(U, mode) for U in self.U], self.b))
+    def stepper(self, spec: LSTM, x, mode, in_scale, counters, feedback):
+        n = spec.n_h  # per step: 4 biases, 3 Hadamards, the cell-state add
+        inputs, recur = _gates(self.W, self.U, x, mode, in_scale, counters,
+                               OpCounters(mults=3 * n, adds=5 * n,
+                                          activations=5 * n))
+        act = _ACTIVATIONS[spec.activation]
 
-        def step(x, state):
-            i_pre, f_pre, o_pre, c_pre = [
-                _gate(W, U, b, x, state.h, in_scale, counters)
-                for W, U, b in gates]
-            i_t = _activate("sigmoid", i_pre, counters)
-            f_t = _activate("sigmoid", f_pre, counters)
-            o_t = _activate("sigmoid", o_pre, counters)
-            c_cand = _activate(spec.activation, c_pre, counters)
-            state.C = _vector_add(_hadamard(f_t, state.C, counters),
-                                  _hadamard(i_t, c_cand, counters), counters)
-            state.h = _hadamard(
-                o_t, _activate(spec.activation, state.C, counters), counters)
+        def step(t, state):
+            pre = (inputs(t) + recur(state.h)) + self.b
+            i_t, f_t, o_t = _stable_sigmoid(pre[:3])
+            state.C = f_t * state.C + i_t * act(pre[3])
+            state.h = o_t * act(state.C)
             return state.h
         return step
 
@@ -300,25 +325,18 @@ class GRUWeights:
     U: np.ndarray  # (3, n_h, n_h)
     b: np.ndarray  # (3, n_h)
 
-    def stepper(self, spec: GRU, mode, in_scale, counters, feedback):
-        (W_z, U_z, b_z), (W_r, U_r, b_r), (W_c, U_c, b_c) = zip(
-            [_CountedMatrix(W, mode) for W in self.W],
-            [_CountedMatrix(U, mode) for U in self.U], self.b)
+    def stepper(self, spec: GRU, x, mode, in_scale, counters, feedback):
+        n = spec.n_h  # per step: 3 biases, reset, retain and renew products
+        inputs, recur = _gates(self.W, self.U, x, mode, in_scale, counters,
+                               OpCounters(mults=3 * n, adds=5 * n,
+                                          activations=3 * n))
+        act = _ACTIVATIONS[spec.activation]
 
-        def step(x, state):
-            h = state.h
-            z_t = _activate("sigmoid", _gate(W_z, U_z, b_z, x, h, in_scale,
-                                             counters), counters)
-            r_t = _activate("sigmoid", _gate(W_r, U_r, b_r, x, h, in_scale,
-                                             counters), counters)
-            recur = _hadamard(r_t, U_c.apply(h, counters), counters)
-            cand_pre = _bias_add(_vector_add(W_c.apply(x, counters, in_scale),
-                                             recur, counters), b_c, counters)
-            h_cand = _activate(spec.activation, cand_pre, counters)
-            counters.adds += spec.n_h  # forming (1 - z_t)
-            state.h = _vector_add(_hadamard(z_t, h, counters),
-                                  _hadamard(1.0 - z_t, h_cand, counters),
-                                  counters)
+        def step(t, state):
+            WX, UH = inputs(t), recur(state.h)
+            z_t, r_t = _stable_sigmoid((WX[:2] + UH[:2]) + self.b[:2])
+            h_cand = act((WX[2] + r_t * UH[2]) + self.b[2])
+            state.h = z_t * state.h + (1.0 - z_t) * h_cand
             return state.h
         return step
 
@@ -331,27 +349,29 @@ class ESNWeights:
     b_o: np.ndarray  # (n_o,)
     W_back: np.ndarray | None = None  # (N_r, n_o)
 
-    def stepper(self, spec: EchoState, mode, in_scale, counters, feedback):
-        W_in = _CountedMatrix(self.W_in, mode)
-        W_r = _CountedMatrix(self.W_r, mode)
+    def stepper(self, spec: EchoState, x, mode, in_scale, counters,
+                feedback):
+        N_r = spec.N_r  # per step: the leaky update (2 mults, 1 add), b_o
+        per_step = OpCounters(mults=2 * N_r, adds=N_r + spec.n_o,
+                              activations=N_r)
         W_o = _CountedMatrix(self.W_o, mode)
+        W_o.tally(per_step, 1)
         if feedback:
             _check(self.W_back is not None, "W_back shape mismatch")
             W_back = _CountedMatrix(self.W_back, mode)
+            W_back.tally(per_step, 1)
+            per_step.adds += N_r
+        inputs, recur = _gates(self.W_in, self.W_r, x, mode, in_scale,
+                               counters, per_step)
+        act = _ACTIVATIONS[spec.activation]
         mu = float(spec.leak)
 
-        def step(x, state):
-            pre = _vector_add(W_r.apply(state.s, counters),
-                              W_in.apply(x, counters, in_scale), counters)
+        def step(t, state):
+            pre = recur(state.s)[0] + inputs(t)[0]
             if feedback:
-                pre = _vector_add(pre, W_back.apply(state.y_prev, counters),
-                                  counters)
-            a = _activate(spec.activation, pre, counters)
-            counters.mults += 2 * spec.N_r
-            counters.adds += spec.N_r
-            state.s = (1.0 - mu) * state.s + mu * a
-            state.y_prev = _bias_add(W_o.apply(state.s, counters), self.b_o,
-                                     counters)
+                pre = pre + W_back.values @ state.y_prev
+            state.s = (1.0 - mu) * state.s + mu * act(pre)
+            state.y_prev = W_o.values @ state.s + self.b_o
             return state.y_prev
         return step
 
@@ -361,11 +381,12 @@ LayerWeights = (DenseWeights | ConvWeights | RNNWeights | LSTMWeights
 
 # The interpreter's half of the layer-kind table (``arch.KINDS`` holds the
 # rest): each kind's weights class. It holds the kind's named arrays and
-# builds its step: ``stepper(spec, mode, in_scale, counters, feedback)``
-# prepares one counted matrix per weight, per gate for gated cells because
-# fixed-point scales are per matrix, and returns ``step(x, state)``, which
-# maps one input to its output (a recurrent step: one time step, updating
-# the ``CellState`` in place).
+# builds its step: ``stepper(spec, x, mode, in_scale, counters, feedback)``
+# sees the whole input x, prepares one counted matrix per weight, per gate
+# for gated cells (fixed-point scales are per matrix; stacked gates round
+# differently), hoists recurrent input products, tallies the rest in closed
+# form and returns ``step(t, state)``: the output of the one step t = 0 of a
+# feedforward kind, or of time step t, updating the ``CellState`` in place.
 EXECUTION = {Dense: DenseWeights, Conv1D: ConvWeights, VanillaRNN: RNNWeights,
              LSTM: LSTMWeights, GRU: GRUWeights, EchoState: ESNWeights}
 _KIND_BY_WEIGHTS = {weights: arch.KINDS[cls]
@@ -492,11 +513,11 @@ def _execute(spec, weights, x, mode: Mode = "float",
     counters = OpCounters()
     x, in_scale = (_quantize_operand(x, mode.bits.b_i)
                    if isinstance(mode, FixedPoint) else (x, None))
-    step = EXECUTION[type(spec)].stepper(weights, spec, mode, in_scale,
+    step = EXECUTION[type(spec)].stepper(weights, spec, x, mode, in_scale,
                                          counters, feedback)
     state_shapes = kind.state(spec)
     if not state_shapes:
-        return step(x, None), None, counters
+        return step(0, None), None, counters
     state = CellState()
     for name, shape in state_shapes.items():
         given = getattr(init_state, name, None)
@@ -504,7 +525,7 @@ def _execute(spec, weights, x, mode: Mode = "float",
                 else np.array(given, dtype=float))
     outs = np.empty((x.shape[0], kind.output_width(spec)))
     for t in range(x.shape[0]):
-        outs[t] = step(x[t], state)
+        outs[t] = step(t, state)
         if state_trace is not None:
             state_trace.append(getattr(state, kind.readout).copy())
     return outs, state, counters
@@ -647,14 +668,12 @@ def iir_filter(a, b, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if a.size == 0:
         raise ValueError("feedforward coefficients must be nonempty")
-    y = np.zeros(x.size)
-    for t in range(x.size):
-        acc = 0.0
-        for k in range(min(a.size, t + 1)):
-            acc += a[k] * x[t - k]
-        for k in range(1, min(b.size + 1, t + 1)):
-            acc += b[k - 1] * y[t - k]
-        y[t] = acc
+    y = 0.0 + a[0] * x  # sums start at +0.0, taps add in order k = 0..q
+    for k in range(1, min(a.size, x.size)):
+        y[k:] += a[k] * x[:-k]
+    for t in range(1, x.size):
+        for k in range(1, min(b.size, t) + 1):
+            y[t] += b[k - 1] * y[t - k]
     return y
 
 

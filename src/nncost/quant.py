@@ -170,8 +170,9 @@ def quantize_uniform(weights, b_w: int) -> QuantizedWeights:
                                 scale=1.0)
     q_max = (1 << (b_w - 1)) - 1
     scale = max_abs / q_max
-    # float(q_max) rounds up to 2**63 at b_w = 64, past int64: clip below
-    limit = min(float(q_max), np.nextafter(2.0 ** 63, 0.0))
+    limit = float(q_max)  # clip at the largest double <= q_max:
+    if limit > q_max:  # float() rounds q_max up from b_w = 55 on
+        limit = math.nextafter(limit, 0.0)
     codes = np.clip(np.round(w / scale), -limit, limit).astype(np.int64)
     values = codes * scale
     return QuantizedWeights(scheme, values, codes == 0, codes=codes,

@@ -292,6 +292,45 @@ class TestFilters:
         np.testing.assert_allclose(iir_filter([1.0], [1.0], [1.0, 1.0, 1.0]),
                                    [1.0, 2.0, 3.0])
 
+    @staticmethod
+    def loop_iir_filter(a, b, x):
+        """``iir_filter`` as the per-t double loop it was, verbatim."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if a.size == 0:
+            raise ValueError("feedforward coefficients must be nonempty")
+        y = np.zeros(x.size)
+        for t in range(x.size):
+            acc = 0.0
+            for k in range(min(a.size, t + 1)):
+                acc += a[k] * x[t - k]
+            for k in range(1, min(b.size + 1, t + 1)):
+                acc += b[k - 1] * y[t - k]
+            y[t] = acc
+        return y
+
+    def test_iir_bitwise_equal_to_loop(self):
+        """3,000 seeded cases: empty feedback, more taps than samples, empty
+        and -0.0 inputs, and magnitudes that overflow."""
+        rng = np.random.default_rng(16)
+        for case in range(3000):
+            a = rng.normal(size=rng.integers(1, 7))
+            b = rng.normal(scale=0.6, size=rng.integers(0, 5))
+            x = rng.normal(size=rng.integers(0, 12))
+            if case % 5 == 0:
+                x[rng.random(x.size) < 0.5] = -0.0
+            if case % 7 == 0:
+                a[rng.random(a.size) < 0.5] = -0.0
+            if case % 11 == 0:
+                x *= 1e300
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = iir_filter(a, b, x)
+                want = self.loop_iir_filter(a, b, x)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+
 
 class TestFixedPoint:
     def test_pot_runs_on_shifts_and_matches_dequantized_float(self):

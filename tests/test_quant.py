@@ -67,6 +67,36 @@ class TestUniform:
         np.testing.assert_array_equal(np.sign(qw.codes), np.sign(w))
         np.testing.assert_allclose(qw.values, w, rtol=2.0 ** -52, atol=0.0)
 
+    @staticmethod
+    def old_codes(w, b_w):
+        """The codes before the clip limit became the largest double <=
+        q_max: a float(q_max) limit, capped below 2**63."""
+        w = np.asarray(w, dtype=float)
+        q_max = (1 << (b_w - 1)) - 1
+        scale = np.max(np.abs(w)) / q_max
+        limit = min(float(q_max), np.nextafter(2.0 ** 63, 0.0))
+        return np.clip(np.round(w / scale), -limit, limit).astype(np.int64)
+
+    @staticmethod
+    def weights(seed):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([[1.0, -1.0], rng.uniform(-1.0, 1.0, 200),
+                               rng.normal(scale=1e-3, size=50)])
+
+    @pytest.mark.parametrize("b_w", range(2, 65))
+    def test_codes_stay_in_range(self, b_w):
+        q_max = (1 << (b_w - 1)) - 1
+        for seed in range(3):
+            codes = quantize_uniform(self.weights(seed), b_w).codes
+            assert all(abs(int(c)) <= q_max for c in codes)
+
+    @pytest.mark.parametrize("b_w", range(2, 55))
+    def test_codes_up_to_54_bits_unchanged(self, b_w):
+        for seed in range(3):
+            w = self.weights(seed)
+            np.testing.assert_array_equal(quantize_uniform(w, b_w).codes,
+                                          self.old_codes(w, b_w))
+
 
 class TestPoT:
     def test_exact_power(self):
