@@ -37,7 +37,7 @@ N_CANDIDATES = 2048
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_erf = np.vectorize(math.erf)
+_erf = np.vectorize(math.erf, otypes=[float])  # one ufunc, not one per call
 
 
 def _norm_cdf(z):

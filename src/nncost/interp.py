@@ -14,10 +14,12 @@ into an output buffer. Only the step differs between layer types.
 
 A recurrent step is fused. Each gate's input products W_g x_t are hoisted
 out of the time loop, one batched product per gate and block of steps; per
-step the U_g h fill one (G, n_h) buffer, (W x + U h) + b is one expression
-over all gates and one sigmoid covers the sigmoid gates. Counts are closed
-form: the per-step tally times the number of steps. The gates' matrices are
-never stacked into one (G n_h, n) matrix, whose product BLAS rounds apart.
+step one product of the (G, n_h, n_h) stack of the U_g with h, which numpy
+runs as one gemv per gate, fills a (G, n_h) buffer, (W x + U h) + b is one
+expression over all gates and one sigmoid covers the sigmoid gates. Counts
+are closed form: the per-step tally times the number of steps. The gates
+are never stacked into one 2-D (G n_h, n) matrix, whose product BLAS rounds
+apart from the per-gate products.
 
 Counting conventions:
 
@@ -93,9 +95,9 @@ Mode = str | FixedPoint
 
 
 def _stable_sigmoid(v):
-    e = np.exp(np.minimum(v, -v))  # -|v|, NaN sign kept; never overflows
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    # 1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|) (NaN sign kept):
+    # the numerator exp(min(v, 0)) is exactly 1 or e, and nothing overflows
+    return np.exp(np.minimum(v, 0.0)) / (1.0 + np.exp(np.minimum(v, -v)))
 
 
 _ACTIVATIONS = {
@@ -200,19 +202,21 @@ _BLOCK = 256  # steps per hoisted input product: bounds its buffer
 def _gates(W, U, x, mode, in_scale, counters: OpCounters,
            per_step: OpCounters):
     """Counted products of a recurrent step's gates: W (G, rows, cols) and U
-    (G, rows, rows), or one gate's 2-D W and U. ``inputs(t)`` gives every
+    (G, rows, rows), or one gate's 2-D W and U. Each gate keeps its own
+    counted matrix (counts, fixed-point scale). ``inputs(t)`` gives every
     W_g x_t for t = 0, 1, ... in order, computed per gate and block of
-    _BLOCK steps; ``recur(h)`` every U_g h. Counts T times ``per_step``, the
-    U products and the add of W x + U h; the W products as they run."""
+    _BLOCK steps; ``recur(h)`` every U_g h, as one product of the 3-D stack
+    of the U_g. Counts T times ``per_step``, the U products and the add of
+    W x + U h; the W products as they run."""
     W, U = ([_CountedMatrix(m, mode) for m in a.reshape((-1,) + a.shape[-2:])]
             for a in (W, U))
     WX = np.empty((min(len(x), _BLOCK), len(W), W[0].rows))
     UH = np.empty((len(U), U[0].rows))
+    U_all = np.stack([U_g.values for U_g in U])
     for U_g in U:
         U_g.tally(per_step, 1)
     per_step.adds += UH.size
     counters.merge(per_step, len(x))
-    products = [(U_g.values, out) for U_g, out in zip(U, UH)]
 
     def inputs(t):
         if t % _BLOCK == 0:
@@ -221,10 +225,8 @@ def _gates(W, U, x, mode, in_scale, counters: OpCounters,
                 WX[:len(xs), g] = W_g.apply(xs, counters, in_scale)[..., 0]
         return WX[t % _BLOCK]
 
-    def recur(h):
-        for U_g, out in products:
-            np.matmul(U_g, h, out=out)
-        return UH
+    def recur(h):  # one gemv per gate, rounding like U_g @ h
+        return np.matmul(U_all, h, out=UH)
     return inputs, recur
 
 
@@ -383,10 +385,11 @@ LayerWeights = (DenseWeights | ConvWeights | RNNWeights | LSTMWeights
 # rest): each kind's weights class. It holds the kind's named arrays and
 # builds its step: ``stepper(spec, x, mode, in_scale, counters, feedback)``
 # sees the whole input x, prepares one counted matrix per weight, per gate
-# for gated cells (fixed-point scales are per matrix; stacked gates round
-# differently), hoists recurrent input products, tallies the rest in closed
-# form and returns ``step(t, state)``: the output of the one step t = 0 of a
-# feedforward kind, or of time step t, updating the ``CellState`` in place.
+# for gated cells (fixed-point scales are per matrix; gates stacked into one
+# 2-D matrix round differently, a 3-D stack of them does not), hoists
+# recurrent input products, tallies the rest in closed form and returns
+# ``step(t, state)``: the output of the one step t = 0 of a feedforward
+# kind, or of time step t, updating the ``CellState`` in place.
 EXECUTION = {Dense: DenseWeights, Conv1D: ConvWeights, VanillaRNN: RNNWeights,
              LSTM: LSTMWeights, GRU: GRUWeights, EchoState: ESNWeights}
 _KIND_BY_WEIGHTS = {weights: arch.KINDS[cls]

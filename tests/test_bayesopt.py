@@ -197,6 +197,18 @@ class TestExpectedImprovement:
         assert expected_improvement(3.0, 1.0, 2.0) == pytest.approx(
             1.0833, abs=5e-5)
 
+    def test_norm_cdf_matches_math_erf_bitwise(self):
+        rng = np.random.default_rng(5)
+        z = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 40.0, -40.0,
+                             5e-324, -5e-324], rng.normal(scale=3, size=300)])
+        want = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                         for v in z])
+        got = bayesopt._norm_cdf(z)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+        assert bayesopt._norm_cdf(np.zeros(0)).shape == (0,)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
             expected_improvement(0.0, -1.0, 0.0)

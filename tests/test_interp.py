@@ -469,6 +469,51 @@ class TestStableSigmoid:
         np.testing.assert_array_equal(got.view(np.uint64),
                                       expected.view(np.uint64))
 
+    # Quiet and signalling NaNs of both signs, each with a nonzero payload
+    NANS = np.array([0x7FF8000000000123, 0xFFF8000000000456,
+                     0x7FF0000000000001, 0xFFF00000000ABCDE,
+                     0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF],
+                    dtype=np.uint64).view(float)
+    # Where exp(|v|) overflows, exp(-|v|) turns subnormal and then 0
+    EDGES = np.array([708.4, 709.78, 745.2, -708.4, -709.78, -745.2])
+
+    @staticmethod
+    def finite_cases():
+        rng = np.random.default_rng(13)
+        subnormal = rng.integers(1, 2**52, size=20_000,
+                                 dtype=np.uint64).view(float)
+        powers = np.ldexp(1.0, np.arange(-1074, -1021))
+        edges = TestStableSigmoid.EDGES
+        return np.concatenate([
+            subnormal, -subnormal, powers, -powers, edges,
+            np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            [0.0, -0.0, 1e308, -1e308], rng.normal(scale=400.0, size=10_000)])
+
+    def assert_masked_bits(self, v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = self.masked_sigmoid(np.atleast_1d(v))
+            got = interp._stable_sigmoid(v)
+        assert np.shape(got) == np.shape(v)
+        np.testing.assert_array_equal(
+            np.atleast_1d(got).view(np.uint64), expected.view(np.uint64))
+
+    def test_nan_payloads_and_signs_kept(self):
+        # Repeated so that both the SIMD body and the scalar tail see them
+        for reps in range(1, 20):
+            self.assert_masked_bits(np.tile(self.NANS, reps))
+
+    def test_subnormals_and_exp_edges(self):
+        self.assert_masked_bits(self.finite_cases())
+
+    def test_zero_d_input(self):
+        for value in (*self.EDGES, 0.0, -0.0, 5e-324, -36.8, *self.NANS,
+                      np.inf, -np.inf):
+            self.assert_masked_bits(np.asarray(value))
+
+    def test_finite_inputs_raise_nothing(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            interp._stable_sigmoid(self.finite_cases())
+
     def test_shapes_preserved(self):
         for v in (np.asarray(0.3), np.zeros((3, 4)), np.zeros(0)):
             assert interp._stable_sigmoid(v).shape == v.shape

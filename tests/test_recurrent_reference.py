@@ -8,8 +8,10 @@ hoists each gate's input product out of the time loop and tallies its
 counts in closed form; the sweeps here require the same output bits, the
 same final state bits and the same ``OpCounters``, overflows included.
 
-The sweeps depend on how the BLAS kernel rounds each product. To hold a
-second OpenBLAS gemv kernel to the reference, rerun this file under
+The sweeps depend on how the BLAS kernel rounds each product. So does the
+step's one (G, n_h, n_h) product over all gates' recurrent matrices, which
+the last test holds to the per-gate products directly. To hold a second
+OpenBLAS gemv kernel to the reference, rerun this file under
 ``OPENBLAS_CORETYPE=Prescott``.
 """
 
@@ -359,3 +361,20 @@ def test_esn_state_trace_bitwise_equal(feedback):
     reference_run(spec, weights, x, feedback=feedback,
                   state_trace=want_trace)
     assert_same_bits(np.stack(got_trace), np.stack(want_trace))
+
+
+@pytest.mark.parametrize("n_h", N_H)
+def test_stacked_gate_product_rounds_per_gate(n_h):
+    """The step's one (G, n_h, n_h) @ (n_h,) product runs one gemv per
+    gate: bitwise equal to the per-gate products it replaced."""
+    rng = np.random.default_rng([17, n_h])
+    for gates in (1, 2, 3, 4):
+        U = rng.uniform(-1.0, 1.0, (gates, n_h, n_h))
+        got = np.empty((gates, n_h))
+        want = np.empty((gates, n_h))
+        for _ in range(4):
+            h = rng.uniform(-1.0, 1.0, n_h) * 10.0 ** rng.integers(-3, 4)
+            np.matmul(U, h, out=got)
+            for U_g, out in zip(U, want):
+                np.matmul(U_g, h, out=out)
+            assert_same_bits(got, want)
