@@ -4,12 +4,21 @@ Exit codes: 0 success, 1 internal error, 2 input/parse/schema error,
 3 formula-vs-measurement mismatch in validate, 4 infeasible search space.
 Reports go to standard output (or the -o path, written atomically);
 diagnostics go to standard error. All randomness flows from --seed.
+
+``main(argv)`` may be called any number of times in one process: it
+returns the exit code for every outcome, a usage error (2) and ``--help``
+(0) included, and never raises ``SystemExit``. The argument parser is
+built on the first call and shared by the later ones. Before any file is
+read, ``--seed`` must be >= 0, ``--iters`` and ``--init`` >= 1, and
+``--budgets`` ascending; a flag outside its range is an input error naming
+it (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -65,6 +74,14 @@ def _bits(args) -> BitwidthConfig:
     return BitwidthConfig(b_w=args.bw, b_i=args.bi, b_a=args.ba)
 
 
+def _at_least(args, **floors):
+    """Each named integer flag must be >= its floor; a lower one is named."""
+    for flag, floor in floors.items():
+        value = getattr(args, flag)
+        if value < floor:
+            raise SpecSyntaxError(f"--{flag} {value}: must be >= {floor}")
+
+
 def cmd_estimate(args) -> int:
     net = parse_spec(_read_file(args.spec))
     bits = _bits(args)
@@ -82,6 +99,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _at_least(args, seed=0)
     net = parse_spec(_read_file(args.spec))
     bits = BitwidthConfig()
     scheme = search.parse_scheme("uniform", bits.b_w)
@@ -110,6 +128,7 @@ def _space_and_task(args) -> tuple[search.SearchSpace, search.Task]:
 
 
 def cmd_search(args) -> int:
+    _at_least(args, seed=0, iters=1, init=1)
     space, task = _space_and_task(args)
     if args.budget_nabs is not None:
         space = dataclasses.replace(space, metric="nabs",
@@ -129,13 +148,17 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    space, task = _space_and_task(args)
+    _at_least(args, seed=0, iters=1, init=1)
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b]
     except ValueError as exc:
         raise SpecSyntaxError(f"bad --budgets value: {exc}") from exc
     if not budgets:
         raise SpecSyntaxError("--budgets must list at least one integer")
+    if budgets != sorted(budgets):
+        raise SpecSyntaxError(
+            f"--budgets {args.budgets}: must be sorted ascending")
+    space, task = _space_and_task(args)
     if args.metric is not None:
         space = dataclasses.replace(space, metric=args.metric)
     result = search.complexity_sweep(space, task, budgets, iters=args.iters,
@@ -149,7 +172,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nncost`` parser, built once and shared by every ``main`` call.
+
+    Sharing is safe because ``parse_args`` leaves the parser unchanged: it
+    fills a fresh namespace on each call and reads standard output, standard
+    error and the terminal width only when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="nncost",
         description="Inference-cost estimation, interpreter audits and "
@@ -202,8 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except (FileNotFoundError, SpecSyntaxError, SchemaError,

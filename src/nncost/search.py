@@ -509,19 +509,23 @@ def make_objective(space: SearchSpace, task: Task, k: int = 3,
 
 
 def search_history_csv(space: SearchSpace, history) -> str:
-    """History rows: iteration, decoded theta, score, nabs, feasible flag."""
+    """History rows: iteration, decoded theta, score, cost, feasible flag.
+
+    The cost column is the space's constraint metric (``rm``, ``bop`` or
+    ``nabs``), named after it in the header.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     names = [dim.name for dim in space.dimensions]
     writer.writerow(["iteration"] + [f"theta_{n}" for n in names]
-                    + ["score", "nabs", "feasible"])
+                    + ["score", space.metric, "feasible"])
     for i, trial in enumerate(history):
         params = space.decode(trial.theta)
-        nabs = trial.cost.get("nabs") if trial.cost else ""
+        cost = trial.cost.get(space.metric) if trial.cost else ""
         feasible = (space.budget is None or trial.cost is None
                     or trial.cost[space.metric] <= space.budget)
         writer.writerow([i] + [params[n] for n in names]
-                        + [repr(trial.score), nabs, int(feasible)])
+                        + [repr(trial.score), cost, int(feasible)])
     return buf.getvalue()
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nncost.cli import main
+from nncost.cli import build_parser, main
 
 
 @pytest.fixture
@@ -294,3 +294,72 @@ class TestInputErrors:
         monkeypatch.setattr(search, "make_objective", broken)
         assert main(_argv("search", space_file, task_file)) == 1
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["validate", "missing.json", "--seed", "-1"],
+         "--seed -1: must be >= 0"),
+        (["search", "missing.json", "missing.json", "--seed", "-1"],
+         "--seed -1: must be >= 0"),
+        (["search", "missing.json", "missing.json", "--iters", "0"],
+         "--iters 0: must be >= 1"),
+        (["search", "missing.json", "missing.json", "--init", "0"],
+         "--init 0: must be >= 1"),
+        (["sweep", "missing.json", "missing.json", "--budgets", "10",
+          "--seed", "-1"], "--seed -1: must be >= 0"),
+        (["sweep", "missing.json", "missing.json", "--budgets", "10",
+          "--iters", "0"], "--iters 0: must be >= 1"),
+        (["sweep", "missing.json", "missing.json", "--budgets", "10",
+          "--init", "-2"], "--init -2: must be >= 1"),
+        (["sweep", "missing.json", "missing.json", "--budgets", "500,100"],
+         "--budgets 500,100: must be sorted ascending"),
+    ])
+    def test_bad_integer_flag_exit_2_before_reading(self, argv, named,
+                                                    capsys):
+        # The inputs do not exist, so the flag must be checked first.
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_same_results_as_a_fresh_parser(self, net_file, space_file,
+                                            task_file, capsys):
+        script = [
+            ["estimate", net_file, "--scheme", "pot"],
+            ["estimate", net_file],
+            ["estimate", net_file, "--bw", "4", "--format", "json"],
+            ["validate", net_file, "--mode", "fixed"],
+            ["validate", net_file, "--mode", "float"],
+            ["sweep", space_file, task_file, "--budgets", "900000",
+             "--iters", "1", "--init", "1"],
+            ["estimate", net_file, "--format", "xml"],
+            ["estimate", "does-not-exist.json"],
+        ]
+
+        def run(fresh):
+            results = []
+            for argv in script:
+                if fresh:
+                    build_parser.cache_clear()
+                code = main(argv)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        build_parser.cache_clear()
+        shared = run(fresh=False)
+        assert build_parser.cache_info().misses == 1
+        assert shared == run(fresh=True)
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 2]
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["estimate"], 2, "err", "usage: nncost estimate"),
+        (["bogus"], 2, "err", "usage: nncost"),
+        (["--help"], 0, "out", "usage: nncost"),
+        (["sweep", "--help"], 0, "out", "usage: nncost sweep"),
+    ])
+    def test_argparse_status_returned(self, argv, code, stream, text,
+                                      capsys):
+        assert main(argv) == code
+        assert getattr(capsys.readouterr(), stream).startswith(text)

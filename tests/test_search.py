@@ -1,6 +1,8 @@
 """Search-space, cross-validation and sweep tests."""
 
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -333,6 +335,23 @@ class TestSweep:
         assert header == ["iteration", "theta_res", "theta_leak", "score",
                           "nabs", "feasible"]
         assert len(text.splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("metric", ["rm", "bop"])
+    def test_history_csv_names_constraint_metric(self, metric):
+        space = esn_space(budget=10 ** 8, metric=metric)
+        task = synth_task_fir([1.0], 0.0, 36, seed=0)
+        objective = search.make_objective(space, task, k=3, eval_seed=0)
+        _, history = bayesopt.bo_optimize(objective, space, max_iters=1,
+                                          n_init=2, seed=0,
+                                          constraint=space.screen)
+        text = search.search_history_csv(space, history)
+        assert text.splitlines()[0] == (
+            f"iteration,theta_res,theta_leak,score,{metric},feasible")
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [row[metric] for row in rows] == [
+            str(trial.cost[metric]) for trial in history]
+        assert all(trial.cost[metric] != trial.cost["nabs"]
+                   for trial in history)
 
 
 class TestCostMemo:
