@@ -37,7 +37,13 @@ N_CANDIDATES = 2048
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_erf = np.vectorize(math.erf, otypes=[float])  # one ufunc, not one per call
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``math.erf`` of every element, same shape: libm's erf per value, as
+    numpy has no erf of its own."""
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
 def _norm_cdf(z):

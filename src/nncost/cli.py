@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 internal error, 2 input/parse/schema error,
 3 formula-vs-measurement mismatch in validate, 4 infeasible search space.
-Reports go to standard output (or the -o path, written atomically);
-diagnostics go to standard error. All randomness flows from --seed.
+Reports go to standard output (or the -o path, written atomically; a path
+that cannot be written is an input error naming it); diagnostics go to
+standard error. All randomness flows from --seed.
 
 ``main(argv)`` may be called any number of times in one process: it
 returns the exit code for every outcome, a usage error (2) and ``--help``
@@ -31,20 +32,27 @@ from .errors import (InfeasibleSpace, NNCostError, SchemaError,
 
 
 def _emit(text: str, path: str | None):
-    """Write the report to stdout or atomically to a file."""
+    """Write the report to stdout or atomically to a file.
+
+    A file that cannot be created, written or moved into place is an input
+    error naming ``path``; no temporary file is left behind.
+    """
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nncost-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nncost-", text=True)
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise FileNotFoundError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _read_file(path: str) -> str:

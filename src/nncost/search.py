@@ -22,6 +22,7 @@ are scored on recovering the clean symbols from the received stream.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import numbers
@@ -110,15 +111,22 @@ class Dimension:
 def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     """Index of one row per distinct row of ``columns``, and each row's group.
 
-    Columns are ranked one at a time and folded into a compact int64 code,
-    so the code stays below rows**2 whatever the number of dimensions.
+    One stable lexicographic sort (first column most significant) puts equal
+    rows next to each other; a row that differs from its sorted predecessor
+    in any column starts a new group. ``first`` is each group's first
+    occurrence in the pool, in group order, and ``group`` is each row's
+    lexicographic rank among the distinct rows. Floats compare by value, so
+    -0.0 and +0.0 share a group.
     """
-    code = np.zeros(columns[0].shape[0], dtype=np.int64)
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
     for column in columns:
-        values, rank = np.unique(column, return_inverse=True)
-        _, first, code = np.unique(code * values.size + rank,
-                                   return_index=True, return_inverse=True)
-    return first, code
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
 
 
 def _substitute(node, params: dict):
@@ -140,10 +148,10 @@ class SearchSpace:
 
     ``screen`` decides a whole candidate pool in one pass: it decodes every
     column at once, groups the rows by decoded architecture (the tuple of
-    integer values, float values and category indices) and looks each
-    distinct architecture up once. It is the constraint the optimizer
-    calls: an (m, n_dims) pool in, m booleans out. ``feasible`` is a
-    one-row ``screen``.
+    integer values, float values and category indices) with one
+    lexicographic sort, and looks each distinct architecture up once. It
+    is the constraint the optimizer calls: an (m, n_dims) pool in, m
+    booleans out. ``feasible`` is a one-row ``screen``.
 
     Cost totals are computed once per distinct decoded architecture and
     kept for the life of the space. Budgets apply when the totals are
@@ -229,8 +237,9 @@ class SearchSpace:
         """Per row of an (m, n_dims) pool, whether it decodes to a valid
         network within the budget (``self.budget`` when None), as m booleans.
 
-        Each distinct decoded architecture in the pool is looked up once.
-        A pool of the wrong shape, or one holding NaN, raises DomainError.
+        Each distinct decoded architecture in the pool is looked up once,
+        in lexicographic order of its coordinates. A pool of the wrong
+        shape, or one holding NaN, raises DomainError.
         """
         pool = np.asarray(pool, dtype=float)
         if pool.ndim != 2 or pool.shape[1] != self.n_dims:
@@ -438,14 +447,25 @@ def featurize(net: NetworkSpec, stream, seed: int) -> np.ndarray:
     return features
 
 
-def _ridge_fit(F: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    Fb = np.hstack([F, np.ones((F.shape[0], 1))])
+@functools.lru_cache(maxsize=1, typed=True)
+def _fold_pairs(n: int, k: int, seed: int) -> tuple:
+    """Read-only (train, test) index arrays of each fold of
+    ``kfold_split(n, k, seed)``. A search or sweep scores every candidate
+    on one plan, so only the last plan asked for is kept."""
+    plan = kfold_split(n, k, seed)
+    pairs = tuple((plan.train_indices(fold), plan.test_indices(fold))
+                  for fold in range(k))
+    for pair in pairs:
+        for indices in pair:
+            indices.flags.writeable = False
+    return pairs
+
+
+def _ridge_fit(Fb: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """Readout weights for the design matrix ``Fb`` (features plus a final
+    column of ones)."""
     gram = Fb.T @ Fb + ridge * np.eye(Fb.shape[1])
     return np.linalg.solve(gram, Fb.T @ y)
-
-
-def _ridge_predict(F: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return np.hstack([F, np.ones((F.shape[0], 1))]) @ beta
 
 
 def kfold_score(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,
@@ -453,17 +473,17 @@ def kfold_score(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,
     """Mean held-out score (negative MSE) over a seeded k-fold plan.
 
     Features are computed once on the full stream (they depend only on the
-    inputs); the readout is refitted per fold and every sample is tested
-    exactly once.
+    inputs), and so is the design matrix (features plus a bias column). The
+    readout is refitted per fold on that matrix's training rows, and every
+    sample is tested exactly once. The fold plan of the last (n, k, seed)
+    is kept, since every candidate of a search is scored on the same one.
     """
     features = featurize(net, task.inputs, seed)
-    plan = kfold_split(task.targets.size, k, seed)
+    design = np.hstack([features, np.ones((features.shape[0], 1))])
     mses = []
-    for fold in range(k):
-        train = plan.train_indices(fold)
-        test = plan.test_indices(fold)
-        beta = _ridge_fit(features[train], task.targets[train], ridge)
-        pred = _ridge_predict(features[test], beta)
+    for train, test in _fold_pairs(task.targets.size, k, seed):
+        beta = _ridge_fit(design[train], task.targets[train], ridge)
+        pred = design[test] @ beta
         mses.append(float(np.mean((pred - task.targets[test]) ** 2)))
     return -float(np.mean(mses))
 

@@ -209,6 +209,18 @@ class TestExpectedImprovement:
                                       want.view(np.uint64))
         assert bayesopt._norm_cdf(np.zeros(0)).shape == (0,)
 
+    @pytest.mark.parametrize("z", [
+        np.array(0.75), np.array(np.nan), np.array(-0.0),
+        np.append(np.linspace(-6.0, 6.0, 11), np.nan).reshape(3, 4),
+    ], ids=["0d", "0d-nan", "0d-negzero", "3x4"])
+    def test_norm_cdf_keeps_shape(self, z):
+        want = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                         for v in z.ravel().tolist()]).reshape(z.shape)
+        got = bayesopt._norm_cdf(z)
+        assert np.shape(got) == z.shape
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                      want.view(np.uint64))
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
             expected_improvement(0.0, -1.0, 0.0)

@@ -96,6 +96,23 @@ class TestEstimate:
         assert main(["estimate", net_file, "-o", str(out)]) == 0
         assert out.read_text().startswith("layer_index")
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        ("existing/", "Not a directory"),
+        ("existing", "Is a directory"),
+    ])
+    def test_unwritable_output_exit_2(self, net_file, tmp_path, capsys,
+                                      target, reason):
+        (tmp_path / "existing").mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out = f"{tmp_path}/{target}"
+        assert main(["estimate", net_file, "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list((tmp_path / "existing").iterdir()) == []
+
 
 class TestValidate:
     def test_clean_network_exit_0(self, net_file, capsys):

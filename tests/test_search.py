@@ -161,6 +161,44 @@ class TestSynthTask:
         assert task.targets.size == 32
 
 
+def reference_ridge_fit(F, y, ridge):
+    """The readout fit as first written: the bias column is stacked onto
+    each fold's feature rows."""
+    Fb = np.hstack([F, np.ones((F.shape[0], 1))])
+    gram = Fb.T @ Fb + ridge * np.eye(Fb.shape[1])
+    return np.linalg.solve(gram, Fb.T @ y)
+
+
+def reference_ridge_predict(F, beta):
+    return np.hstack([F, np.ones((F.shape[0], 1))]) @ beta
+
+
+def reference_kfold_score(task, net, k, seed, ridge=1e-6):
+    """``kfold_score`` as first written: a fresh fold plan per call and a
+    bias column stacked per fold."""
+    features = featurize(net, task.inputs, seed)
+    plan = kfold_split(task.targets.size, k, seed)
+    mses = []
+    for fold in range(k):
+        train = plan.train_indices(fold)
+        test = plan.test_indices(fold)
+        beta = reference_ridge_fit(features[train], task.targets[train], ridge)
+        pred = reference_ridge_predict(features[test], beta)
+        mses.append(float(np.mean((pred - task.targets[test]) ** 2)))
+    return -float(np.mean(mses))
+
+
+def reference_distinct_rows(columns):
+    """``search._distinct_rows`` as first written: columns ranked one at a
+    time by ``np.unique`` and folded into a compact int64 code."""
+    code = np.zeros(columns[0].shape[0], dtype=np.int64)
+    for column in columns:
+        values, rank = np.unique(column, return_inverse=True)
+        _, first, code = np.unique(code * values.size + rank,
+                                   return_index=True, return_inverse=True)
+    return first, code
+
+
 class TestKFoldScore:
     def test_representable_targets_interpolate(self):
         # Identity channel and a linear layer: the readout can reconstruct
@@ -180,9 +218,9 @@ class TestKFoldScore:
         for fold in range(k):
             train = plan.train_indices(fold)
             test = plan.test_indices(fold)
-            beta = search._ridge_fit(features[train], task.targets[train],
-                                     1e-6)
-            pred = search._ridge_predict(features[test], beta)
+            beta = reference_ridge_fit(features[train], task.targets[train],
+                                       1e-6)
+            pred = reference_ridge_predict(features[test], beta)
             mses.append(np.mean((pred - task.targets[test]) ** 2))
         assert kfold_score(task, net, k=k, seed=seed) == pytest.approx(
             -float(np.mean(mses)), abs=0)
@@ -708,3 +746,78 @@ class TestFeaturizeMatchesReference:
             assert got.shape == want.shape
             np.testing.assert_array_equal(got.view(np.uint64),
                                           want.view(np.uint64))
+
+
+class TestKFoldScoreMatchesReference:
+    @pytest.mark.parametrize("layers", [
+        (Dense(5, 3),),
+        (CONV,),
+        (arch.LSTM(3, 6, 8),),
+        (arch.GRU(3, 5, 8, activation="relu"),),
+        (ESN,),
+    ], ids=["dense", "conv1d", "lstm", "gru", "esn"])
+    def test_bitwise_equal(self, layers):
+        """Every k from 2 to 6 leaves a remainder on 97 samples, so folds
+        differ in size; alternating seeds replace the kept fold plan."""
+        net = NetworkSpec("m", layers)
+        task = synth_task_fir([0.8, -0.3, 0.1], 0.05, 97, seed=3)
+        for k in range(2, 7):
+            assert task.targets.size % k != 0
+            for seed in (0, 5, 0):
+                got = np.float64(kfold_score(task, net, k=k, seed=seed))
+                want = np.float64(reference_kfold_score(task, net, k, seed))
+                assert got.view(np.uint64) == want.view(np.uint64)
+
+    def test_fold_arrays_read_only(self):
+        plan = kfold_split(23, 4, seed=3)
+        pairs = search._fold_pairs(23, 4, 3)
+        assert search._fold_pairs(23, 4, 3) is pairs
+        assert len(pairs) == 4
+        for fold, (train, test) in enumerate(pairs):
+            np.testing.assert_array_equal(train, plan.train_indices(fold))
+            np.testing.assert_array_equal(test, plan.test_indices(fold))
+            for indices in (train, test):
+                assert not indices.flags.writeable
+                with pytest.raises(ValueError):
+                    indices[0] = 0
+
+    def test_bad_fold_count_still_raises(self):
+        task = synth_task_fir([1.0], 0.0, 10, seed=0)
+        net = NetworkSpec("m", (Dense(2, 2),))
+        kfold_score(task, net, k=3, seed=0)
+        for k in (1, 11):
+            with pytest.raises(DomainError):
+                kfold_score(task, net, k=k, seed=0)
+
+
+class TestDistinctRowsMatchesReference:
+    @staticmethod
+    def assert_same(columns):
+        got_first, got_group = search._distinct_rows(columns)
+        want_first, want_group = reference_distinct_rows(columns)
+        assert got_first.tolist() == want_first.tolist()
+        assert got_group.tolist() == want_group.tolist()
+        assert got_group.shape == want_group.shape == columns[0].shape
+
+    @pytest.mark.parametrize("make", [
+        dense_space, conv_space, lambda: esn_space(), lambda: log_space(),
+    ], ids=["int-int", "int-int-cat", "int-float", "int-logfloat"])
+    def test_pools(self, make):
+        space = make()
+        rng = np.random.default_rng(31)
+        rows = rng.uniform(-0.3, 1.3, size=(2048, space.n_dims))
+        repeated = rows[rng.integers(0, 40, size=600)]
+        for pool in (rows, repeated, rows[:1], rows[:0]):
+            self.assert_same(space._columns(pool))
+
+    def test_signed_zeros_and_repeats(self):
+        rng = np.random.default_rng(32)
+        floats = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e-300], size=500)
+        ints = rng.integers(-2, 3, size=500)
+        cats = rng.integers(0, 3, size=500)
+        assert (np.signbit(floats) & (floats == 0)).any()
+        for columns in ([floats], [ints, floats], [floats, ints, cats],
+                        [cats, floats, floats]):
+            self.assert_same(columns)
+        _, group = search._distinct_rows([floats])
+        assert len(set(group[floats == 0].tolist())) == 1
