@@ -50,6 +50,6 @@ mode = interp.FixedPoint(bits, nc.PoT(8))
 lstm = nc.LSTM(n_i=8, n_h=16, n_s=12)
 w = interp.random_weights(lstm, 7)
 x = np.random.default_rng(7).uniform(-1, 1, (12, 8))
-_, _, counters = interp.forward_lstm(lstm, w, x, mode)
+_, _, counters = interp.run_layer(lstm, w, x, mode)
 print(f"\nLSTM under PoT fixed point: mults={counters.mults} "
       f"(3 Hadamards x n_h x n_s = {3 * 16 * 12}), shifts={counters.shifts}")

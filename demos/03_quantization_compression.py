@@ -47,7 +47,7 @@ print(f"\nconv layer: RM {nc.rm_layer(layer)} -> effective "
 
 w = interp.random_weights(layer, 1)
 pruned_w = interp.apply_prune_mask(w, layer_mask)
-_, counters = interp.run_layer(layer, pruned_w, rng.uniform(-1, 1, (32, 2)))
+_, _, counters = interp.run_layer(layer, pruned_w, rng.uniform(-1, 1, (32, 2)))
 print(f"interpreter measures {counters.mults} multiplications "
       f"(zero-skipping)")
 

@@ -25,7 +25,7 @@ print("FIR taps", taps, "first outputs", np.round(y_fir[:4], 4))
 conv = nc.Conv1D(n_f=1, n_i=1, n_k=3, n_s=16, activation="linear")
 w = interp.ConvWeights(kernels=np.array(taps)[::-1].reshape(1, 3, 1),
                        biases=np.zeros(1))
-maps, _ = nc.forward_conv1d(conv, w, x[:, None])
+maps, _, _ = nc.run_layer(conv, w, x[:, None])
 print("conv equals FIR:",
       np.allclose(maps[0], y_fir[2:], atol=1e-12))
 
@@ -36,7 +36,7 @@ print("one-pole IIR impulse response:", y_iir)
 rnn = nc.VanillaRNN(n_i=1, n_h=1, n_s=4, activation="linear")
 rw = interp.RNNWeights(W=np.array([[1.0]]), U=np.array([[0.5]]),
                        b=np.zeros(1))
-h_seq, _, _ = nc.forward_rnn(rnn, rw, np.array([[1.0], [0.0], [0.0], [0.0]]))
+h_seq, _, _ = nc.run_layer(rnn, rw, np.array([[1.0], [0.0], [0.0], [0.0]]))
 print("linear 1-unit recurrence:", h_seq[:, 0])
 
 # Stateful vs stateless batch handling. Stateless resets the hidden state

@@ -8,9 +8,8 @@ from .bayesopt import (GPParams, Trial, bo_optimize, expected_improvement,
                        gp_fit, gp_predict, kernel, propose_next)
 from .costmodel import (CostReport, acc_bits, bop_layer, cost_report,
                         mult_bits, nabs_layer, nenb, rm_layer)
-from .interp import (FixedPoint, OpCounters, audit, fir_filter, forward_conv1d,
-                     forward_dense, forward_esn, forward_gru, forward_lstm,
-                     forward_rnn, iir_filter, random_weights, run_batches)
+from .interp import (FixedPoint, OpCounters, audit, fir_filter, iir_filter,
+                     random_weights, run_batches, run_layer)
 from .quant import (APoT, FixedUniform, Float, PoT, cluster_weights,
                     effective_rm, magnitude_prune, quantize_apot,
                     quantize_pot, quantize_uniform, x_w)
@@ -27,11 +26,10 @@ __all__ = [
     "Trial", "VanillaRNN", "acc_bits", "audit", "bo_optimize", "bop_layer",
     "cluster_weights", "complexity_sweep", "conv1d_output_size", "cost_report",
     "effective_rm", "evaluate_arch", "expected_improvement", "featurize",
-    "fir_filter", "forward_conv1d", "forward_dense", "forward_esn",
-    "forward_gru", "forward_lstm", "forward_rnn", "gp_fit", "gp_predict",
-    "iir_filter", "kernel", "kfold_score", "kfold_split", "magnitude_prune",
-    "mult_bits", "nabs_layer", "nenb", "parse_spec", "propose_next",
-    "quantize_apot", "quantize_pot", "quantize_uniform", "random_weights",
-    "rm_layer", "run_batches", "serialize", "synth_task_fir",
+    "fir_filter", "gp_fit", "gp_predict", "iir_filter", "kernel",
+    "kfold_score", "kfold_split", "magnitude_prune", "mult_bits",
+    "nabs_layer", "nenb", "parse_spec", "propose_next", "quantize_apot",
+    "quantize_pot", "quantize_uniform", "random_weights", "rm_layer",
+    "run_batches", "run_layer", "serialize", "synth_task_fir",
     "validate_network", "x_w",
 ]

@@ -6,11 +6,13 @@ performed. The measured multiplication count is the brute-force oracle for
 the analytic cost model: for every layer type (echo state networks with
 output feedback disabled) it reproduces the analytic RM exactly.
 
-Every forward pass runs one skeleton: check each weight, the input and any
-given state against the shapes in ``arch.KINDS``, quantize the input in
-fixed point, build the kind's step (``EXECUTION``), then apply it once to a
-feedforward input or once per time step, from the given or zero state,
-into an output buffer. Only the step differs between layer types.
+``run_layer`` is the one entry point, and every forward pass runs its one
+skeleton: check each weight, the input and any given state against the
+shapes in ``arch.KINDS``, quantize the input in fixed point, build the
+kind's step (``EXECUTION``), then apply it once to a feedforward input or
+once per time step, from the given or zero state, into an output buffer.
+Only the step differs between layer types, and each kind's equations are
+in the docstring of its weights class.
 
 A recurrent step is fused. Each gate's input products W_g x_t are hoisted
 out of the time loop, one batched product per gate and block of steps; per
@@ -232,6 +234,8 @@ def _gates(W, U, x, mode, in_scale, counters: OpCounters,
 
 @dataclass
 class DenseWeights:
+    """y = phi(W x + b)."""
+
     W: np.ndarray
     b: np.ndarray
 
@@ -248,6 +252,9 @@ class DenseWeights:
 
 @dataclass
 class ConvWeights:
+    """y[f, j] = phi(b_f + sum_m kernels[f, m] . xp[j stride + m dilation]),
+    xp the input with ``padding`` zero rows on each side."""
+
     kernels: np.ndarray  # (n_f, n_k, n_i)
     biases: np.ndarray  # (n_f,)
 
@@ -279,6 +286,8 @@ class ConvWeights:
 
 @dataclass
 class RNNWeights:
+    """h_t = phi(W x_t + U h_{t-1} + b)."""
+
     W: np.ndarray  # (n_h, n_i)
     U: np.ndarray  # (n_h, n_h)
     b: np.ndarray  # (n_h,)
@@ -297,7 +306,11 @@ class RNNWeights:
 
 @dataclass
 class LSTMWeights:
-    """Gate order along the leading axis: input, forget, output, cell."""
+    """Sigmoid input, forget and output gates i, f, o and a phi cell update:
+    C_t = f * C_{t-1} + i * phi(W_c x_t + U_c h_{t-1} + b_c) and
+    h_t = o * phi(C_t). The forget blend, input injection and output gating
+    are Hadamard products of n_h multiplications each. Gate order along the
+    leading axis: input, forget, output, cell."""
 
     W: np.ndarray  # (4, n_h, n_i)
     U: np.ndarray  # (4, n_h, n_h)
@@ -321,7 +334,11 @@ class LSTMWeights:
 
 @dataclass
 class GRUWeights:
-    """Gate order along the leading axis: update, reset, candidate."""
+    """Sigmoid update and reset gates z, r and a phi candidate
+    c_t = phi(W_c x_t + r * (U_c h_{t-1}) + b_c);
+    h_t = z * h_{t-1} + (1 - z) * c_t. The reset, retain and renew products
+    cost n_h multiplications each. Gate order along the leading axis:
+    update, reset, candidate."""
 
     W: np.ndarray  # (3, n_h, n_i)
     U: np.ndarray  # (3, n_h, n_h)
@@ -345,6 +362,12 @@ class GRUWeights:
 
 @dataclass
 class ESNWeights:
+    """Leaky reservoir and linear readout. Per step:
+    a_t = phi(W_r s + W_in x [+ W_back y_prev]);
+    s_t = (1 - leak) s + leak a_t (two multiplications per unit);
+    y_t = W_o s_t + b_o. Output feedback is off unless asked for, matching
+    the analytic count."""
+
     W_in: np.ndarray  # (N_r, n_i)
     W_r: np.ndarray  # (N_r, N_r), sparse with row_nonzeros entries per row
     W_o: np.ndarray  # (n_o, N_r)
@@ -503,14 +526,31 @@ def _check_shapes(spec, kind: arch.LayerKind, weights, x: np.ndarray,
                f"init_state.{name} shape mismatch")
 
 
-def _execute(spec, weights, x, mode: Mode = "float",
-             init_state: CellState | None = None, feedback: bool = False,
-             state_trace: list | None = None):
-    """The skeleton behind every forward pass; returns (output, final state
-    or None, counters). See the module docstring."""
+def run_layer(spec, weights, x, mode: Mode = "float",
+              init_state: CellState | None = None, feedback: bool = False,
+              state_trace: list | None = None
+              ) -> tuple[np.ndarray, CellState | None, OpCounters]:
+    """Run one layer with counted operations; returns (outputs, final state
+    or None for a feedforward kind, counters). See the module docstring.
+
+    A feedforward layer takes its nominal input (``input_shape``) or a
+    batch of them along a leading axis: counted once per input, one
+    fixed-point input scale for the batch, convolutions run input by input.
+    A recurrent layer runs a sequence of any length (the analytic count
+    takes ``spec.n_s``) from ``init_state``; state vectors it leaves out
+    start at 0. ``feedback`` turns on echo-state output feedback; other
+    kinds ignore it. A ``state_trace`` list receives a copy of the readout
+    state (else h) after every step. ``init_state`` or ``state_trace`` for
+    a feedforward layer is a TypeError.
+    """
     if not (isinstance(mode, FixedPoint) or mode == "float"):
         raise DomainError(f"mode must be 'float' or FixedPoint: {mode!r}")
     kind = arch.layer_kind(spec)
+    state_shapes = kind.state(spec)
+    if not state_shapes and (init_state is not None
+                             or state_trace is not None):
+        raise TypeError(f"init_state and state_trace need a recurrent layer, "
+                        f"got {layer_type_name(spec)}")
     x = np.asarray(x, dtype=float)
     _check_shapes(spec, kind, weights, x, init_state)
     counters = OpCounters()
@@ -518,7 +558,6 @@ def _execute(spec, weights, x, mode: Mode = "float",
                    if isinstance(mode, FixedPoint) else (x, None))
     step = EXECUTION[type(spec)].stepper(weights, spec, x, mode, in_scale,
                                          counters, feedback)
-    state_shapes = kind.state(spec)
     if not state_shapes:
         return step(0, None), None, counters
     state = CellState()
@@ -530,67 +569,8 @@ def _execute(spec, weights, x, mode: Mode = "float",
     for t in range(x.shape[0]):
         outs[t] = step(t, state)
         if state_trace is not None:
-            state_trace.append(getattr(state, kind.readout).copy())
+            state_trace.append(getattr(state, kind.readout or "h").copy())
     return outs, state, counters
-
-
-def run_layer(spec, weights, x, mode: Mode = "float",
-              feedback_enabled: bool = False
-              ) -> tuple[np.ndarray, OpCounters]:
-    """Run one layer with counted operations; returns output and counters.
-
-    Dense: y = phi(W x + b) for x of n_i features. Conv1D: feature maps of
-    shape (n_f, output_size) for x of shape (n_s, n_i). ``x`` may also be a
-    batch of such inputs along a leading axis: counted once per input, one
-    fixed-point input scale for the batch, convolutions run input by input.
-    A recurrent layer runs the sequence ``x`` from zero state.
-    ``forward_dense`` and ``forward_conv1d`` are this function.
-    """
-    out, _, counters = _execute(spec, weights, x, mode,
-                                feedback=feedback_enabled)
-    return out, counters
-
-
-forward_dense = forward_conv1d = run_layer
-
-
-def forward_rnn(spec: VanillaRNN | LSTM | GRU, weights, x_seq,
-                mode: Mode = "float", init_state: CellState | None = None
-                ) -> tuple[np.ndarray, CellState, OpCounters]:
-    """Run a recurrent cell over the input sequence with counted operations.
-
-    VanillaRNN: h_t = phi(W x_t + U h_{t-1} + b). LSTM: sigmoid input,
-    forget and output gates and a phi cell update; the forget blend, input
-    injection and output gating are Hadamard products of n_h
-    multiplications each. GRU: sigmoid update and reset gates and a phi
-    candidate; the reset, retain and renew products cost n_h
-    multiplications each. ``forward_lstm`` and ``forward_gru`` are this
-    function: the spec's kind picks the step.
-
-    Accepts any sequence length; the nominal length for the analytic count
-    is ``spec.n_s``. State vectors missing from ``init_state`` start at 0.
-    """
-    return _execute(spec, weights, x_seq, mode, init_state)
-
-
-forward_lstm = forward_gru = forward_rnn
-
-
-def forward_esn(spec: EchoState, weights: ESNWeights, x_seq,
-                mode: Mode = "float", feedback_enabled: bool = False,
-                init_state: CellState | None = None,
-                state_trace: list | None = None
-                ) -> tuple[np.ndarray, CellState, OpCounters]:
-    """Leaky reservoir update and linear readout.
-
-    Per step: a_t = phi(W_r s + W_in x [+ W_back y_prev]);
-    s_t = (1 - leak) s + leak a_t  (two multiplications per unit);
-    y_t = W_o s_t + b_o. Output feedback is off by default, matching the
-    analytic count. When ``state_trace`` is a list it receives a copy of
-    the reservoir state after every step.
-    """
-    return _execute(spec, weights, x_seq, mode, init_state, feedback_enabled,
-                    state_trace)
 
 
 def run_stream(spec, weights, stream) -> tuple[np.ndarray, np.ndarray]:
@@ -607,20 +587,20 @@ def run_stream(spec, weights, stream) -> tuple[np.ndarray, np.ndarray]:
     kind = arch.layer_kind(spec)
     if kind.state(spec):
         trace = [] if kind.readout else None
-        outputs, _, _ = _execute(spec, weights, stream, state_trace=trace)
+        outputs, _, _ = run_layer(spec, weights, stream, state_trace=trace)
         return outputs, outputs if trace is None else np.stack(trace)
     nominal = kind.input_shape(spec)
     span = math.prod(nominal[:-1])
     padded = np.vstack([np.zeros((span - 1, stream.shape[1])), stream])
     samples = sliding_window_view(padded, span, axis=0).transpose(0, 2, 1)
-    outputs, _, _ = _execute(spec, weights, samples.reshape(
+    outputs, _, _ = run_layer(spec, weights, samples.reshape(
         samples.shape[:1] + nominal[:-1] + samples.shape[2:]))
     outputs = outputs.reshape(stream.shape[0], -1)
     return outputs, outputs
 
 
 def run_batches(spec, weights, batches, state_mode: str = "stateless",
-                mode: Mode = "float", feedback_enabled: bool = False
+                mode: Mode = "float", feedback: bool = False
                 ) -> tuple[list, OpCounters]:
     """Run a recurrent layer over a list of input sequences.
 
@@ -639,9 +619,9 @@ def run_batches(spec, weights, batches, state_mode: str = "stateless",
     outputs = []
     state = None  # zero
     for batch in batches:
-        out, state, c = _execute(spec, weights, batch, mode,
-                                 state if state_mode == "stateful" else None,
-                                 feedback_enabled)
+        out, state, c = run_layer(spec, weights, batch, mode,
+                                  state if state_mode == "stateful" else None,
+                                  feedback)
         counters.merge(c)
         outputs.append(out)
     return outputs, counters
@@ -724,13 +704,8 @@ class AuditRecord:
         return max((abs(e.delta) for e in self.per_layer), default=0)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "mode": self.mode,
-            "per_layer": [vars(e) for e in self.per_layer],
-            "totals": dict(self.totals),
-            "overflow_count": self.overflow_count,
-        }
+        return {**vars(self), "per_layer": [vars(e) for e in self.per_layer],
+                "totals": dict(self.totals)}
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -754,29 +729,17 @@ def audit(net: NetworkSpec, bits: BitwidthConfig, scheme: quant.QuantScheme,
         rng = np.random.default_rng([seed, index])
         weights = random_weights(layer, rng)
         x = _nominal_input(layer, rng)
-        _, counters = run_layer(layer, weights, x, mode,
-                                feedback_enabled=esn_feedback)
+        _, _, counters = run_layer(layer, weights, x, mode,
+                                   feedback=esn_feedback)
         analytic_rm = costmodel.rm_layer(layer)
-        analytic_nabs = costmodel.nabs_layer(layer, bits, scheme)
         per_layer.append(LayerAudit(
-            layer_index=index,
-            layer_type=layer_type_name(layer),
-            analytic_rm=analytic_rm,
-            analytic_nabs=analytic_nabs,
-            mults=counters.mults,
-            adds=counters.adds,
-            shifts=counters.shifts,
-            activations=counters.activations,
-            delta=counters.mults + counters.shifts - analytic_rm,
-        ))
+            index, layer_type_name(layer), analytic_rm,
+            costmodel.nabs_layer(layer, bits, scheme), **counters.as_dict(),
+            delta=counters.mults + counters.shifts - analytic_rm))
         totals.merge(counters)
-    mode_name = "float" if mode == "float" else "fixed"
     return AuditRecord(
-        seed=seed,
-        mode=mode_name,
-        per_layer=per_layer,
-        totals={"analytic_rm": sum(e.analytic_rm for e in per_layer),
-                "analytic_nabs": sum(e.analytic_nabs for e in per_layer),
-                **totals.as_dict()},
-        overflow_count=totals.overflows,
-    )
+        seed, "float" if mode == "float" else "fixed", per_layer,
+        {"analytic_rm": sum(e.analytic_rm for e in per_layer),
+         "analytic_nabs": sum(e.analytic_nabs for e in per_layer),
+         **totals.as_dict()},
+        overflow_count=totals.overflows)

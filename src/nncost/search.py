@@ -25,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -44,7 +45,9 @@ _COST_MEMO_LIMIT = 1 << 14
 
 
 def _number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number (NaN and +/-inf are not); bools are not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +73,8 @@ class Dimension:
                 raise ValueError("categorical dimension needs values")
         else:
             if not (_number(self.low) and _number(self.high)):
-                raise ValueError("range dimension needs numeric low and high")
+                raise ValueError("range dimension needs finite numeric low "
+                                 "and high")
             if self.low > self.high:
                 raise ValueError("range dimension needs low <= high")
             if self.kind == "int" and max(-self.low, self.high) >= 2 ** 53:
@@ -129,12 +133,21 @@ def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
+def _references(node, path: str):
+    """(path, name) of every ``"$name"`` string in a template node."""
+    if isinstance(node, str) and node.startswith("$"):
+        yield path, node[1:]
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _references(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _references(value, f"{path}[{i}]")
+
+
 def _substitute(node, params: dict):
     if isinstance(node, str) and node.startswith("$"):
-        name = node[1:]
-        if name not in params:
-            raise DomainError(f"template references unknown dimension {name!r}")
-        return params[name]
+        return params[node[1:]]
     if isinstance(node, dict):
         return {k: _substitute(v, params) for k, v in node.items()}
     if isinstance(node, list):
@@ -151,7 +164,8 @@ class SearchSpace:
     integer values, float values and category indices) with one
     lexicographic sort, and looks each distinct architecture up once. It
     is the constraint the optimizer calls: an (m, n_dims) pool in, m
-    booleans out. ``feasible`` is a one-row ``screen``.
+    booleans out. ``feasible`` is a one-row ``screen``. Every ``"$name"``
+    in the template must name a dimension; SchemaError names its path.
 
     Cost totals are computed once per distinct decoded architecture and
     kept for the life of the space. Budgets apply when the totals are
@@ -180,6 +194,10 @@ class SearchSpace:
                 self.metric.lower() not in _METRICS:
             raise ValueError("metric must be one of rm, bop, nabs")
         object.__setattr__(self, "metric", self.metric.lower())
+        names = [dim.name for dim in self.dimensions]
+        for path, name in _references(self.template, "template"):
+            if name not in names:
+                raise SchemaError(path, f"unknown dimension {name!r}")
 
     @property
     def n_dims(self) -> int:
@@ -297,7 +315,7 @@ class SearchSpace:
                               f"must be one of rm, bop, nabs, got {metric!r}")
         budget = constraint.get("budget")
         if budget is not None and not _number(budget):
-            raise SchemaError("constraint.budget", "must be a number")
+            raise SchemaError("constraint.budget", "must be a finite number")
         bits_doc = doc.get("bits", {})
         if not isinstance(bits_doc, dict):
             raise SchemaError("bits", "must be an object")
@@ -380,9 +398,9 @@ def task_from_json(doc: dict) -> Task:
             raise SchemaError(name, "missing field")
     taps, noise_std = doc["taps"], doc["noise_std"]
     if not isinstance(taps, list) or not taps or not all(map(_number, taps)):
-        raise SchemaError("taps", "must be a nonempty array of numbers")
+        raise SchemaError("taps", "must be a nonempty array of finite numbers")
     if not _number(noise_std) or not noise_std >= 0:
-        raise SchemaError("noise_std", "must be a number >= 0")
+        raise SchemaError("noise_std", "must be a finite number >= 0")
     for name, low in (("n_samples", 1), ("seed", 0)):
         if type(doc[name]) is not int or doc[name] < low:  # bool excluded
             raise SchemaError(name, f"must be an integer >= {low}")

@@ -18,9 +18,8 @@ from nncost.arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
 from nncost.bayesopt import CubeSpace, Trial, bo_optimize, gp_fit, gp_predict
 from nncost.cli import main
 from nncost.costmodel import bop_layer, nabs_layer, rm_layer
-from nncost.interp import (FixedPoint, audit, fir_filter, forward_conv1d,
-                           forward_dense, forward_rnn, iir_filter,
-                           random_weights, run_batches, zero_state)
+from nncost.interp import (FixedPoint, audit, fir_filter, iir_filter,
+                           random_weights, run_batches, run_layer, zero_state)
 
 BITS8 = BitwidthConfig(8, 8, 8)
 
@@ -107,13 +106,13 @@ def test_criterion_3_hand_value_spot_checks():
         assert rm_layer(Dense(10, 5)) == 50
 
         lstm = LSTM(n_i=1, n_h=1, n_s=1)
-        _, _, c = interp.forward_lstm(lstm, random_weights(lstm, 0),
-                                      np.zeros((1, 1)))
+        _, _, c = interp.run_layer(lstm, random_weights(lstm, 0),
+                                   np.zeros((1, 1)))
         assert c.mults == 11
 
         gru = GRU(n_i=1, n_h=2, n_s=1)
-        _, _, c = interp.forward_gru(gru, random_weights(gru, 0),
-                                     np.zeros((1, 1)))
+        _, _, c = interp.run_layer(gru, random_weights(gru, 0),
+                                   np.zeros((1, 1)))
         assert c.mults == 24
 
         assert bop_layer(Dense(1, 2), BITS8) == 162
@@ -204,19 +203,19 @@ def test_criterion_7_quantized_execution_semantics():
                          activation="tanh")
             w = random_weights(spec, int(rng.integers(0, 2 ** 31)))
             x = rng.uniform(-1, 1, spec.n_i)
-            y_fixed, c = forward_dense(spec, w, x, mode)
+            y_fixed, _, c = run_layer(spec, w, x, mode)
             assert c.mults == 0
             assert c.shifts == spec.n_n * spec.n_i
             w_deq = copy.deepcopy(w)
             w_deq.W = quant.quantize_pot(w.W, 8).values
             xq, _ = interp._quantize_operand(x, 8)
-            y_ref, _ = forward_dense(spec, w_deq, xq)
+            y_ref, _, _ = run_layer(spec, w_deq, xq)
             np.testing.assert_allclose(y_fixed, y_ref, atol=1e-15)
 
         rnn = VanillaRNN(3, 4, 5)
         w = random_weights(rnn, 7)
         x_seq = rng.uniform(-1, 1, (5, 3))
-        _, _, c = forward_rnn(rnn, w, x_seq, mode)
+        _, _, c = run_layer(rnn, w, x_seq, mode)
         assert c.mults == 0 and c.shifts == rm_layer(rnn)
 
         weights = rng.uniform(-1, 1, 10_000)
@@ -269,7 +268,7 @@ def test_criterion_9_equivalence_bridges():
                                         U=np.array([[u_val]]),
                                         b=np.zeros(1))
             x = rng.normal(size=n)
-            h_seq, _, _ = forward_rnn(rnn, weights, x[:, None])
+            h_seq, _, _ = run_layer(rnn, weights, x[:, None])
             ref = iir_filter([w_val], [u_val], x)
             assert np.max(np.abs(h_seq[:, 0] - ref)) <= 1e-12
 
@@ -280,7 +279,7 @@ def test_criterion_9_equivalence_bridges():
             kernel = rng.normal(size=(1, n_k, 1))
             cw = interp.ConvWeights(kernels=kernel, biases=np.zeros(1))
             xs = rng.normal(size=(n_s, 1))
-            maps, _ = forward_conv1d(conv, cw, xs)
+            maps, _, _ = run_layer(conv, cw, xs)
             ref = fir_filter(kernel[0, ::-1, 0], xs[:, 0])[n_k - 1:]
             assert np.max(np.abs(maps[0] - ref)) <= 1e-12
 

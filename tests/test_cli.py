@@ -255,6 +255,8 @@ class TestInputErrors:
         ("taps", []), ("taps", [1.0, "a"]), ("taps", 0.5),
         ("noise_std", -0.1), ("noise_std", "0.1"), ("n_samples", 2.5),
         ("n_samples", 0), ("seed", -1), ("seed", True),
+        ("taps", [float("nan")]), ("taps", [1.0, float("inf")]),
+        ("taps", [float("-inf")]), ("noise_std", float("inf")),
     ])
     def test_bad_task_field_exit_2(self, field, value, space_file, tmp_path,
                                    capsys):
@@ -273,6 +275,17 @@ class TestInputErrors:
         space.write_text(json.dumps(doc))
         assert main(_argv(command, space, task_file)) == 2
         assert f"error: {field}: missing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_unknown_template_dimension_exit_2(self, command, space_file,
+                                               task_file, tmp_path, capsys):
+        doc = json.loads(open(space_file).read())
+        doc["template"]["layers"][0]["n_o"] = "$outputs"
+        space = tmp_path / "bad_space.json"
+        space.write_text(json.dumps(doc))
+        assert main(_argv(command, space, task_file)) == 2
+        assert capsys.readouterr().err == (
+            "error: template.layers[0].n_o: unknown dimension 'outputs'\n")
 
     def test_template_not_object_exit_2(self, space_file, task_file,
                                         tmp_path, capsys):

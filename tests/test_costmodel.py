@@ -220,5 +220,5 @@ class TestOracleEquivalence:
         for layer in layers:
             weights = interp.random_weights(layer, rng)
             x = interp._nominal_input(layer, rng)
-            _, counters = interp.run_layer(layer, weights, x)
+            _, _, counters = interp.run_layer(layer, weights, x)
             assert counters.mults == rm_layer(layer), layer

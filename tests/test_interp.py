@@ -12,10 +12,8 @@ from nncost.arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
 from nncost.costmodel import rm_layer
 from nncost.errors import DomainError, EmptyOutput, ShapeError
 from nncost.interp import (CellState, DenseWeights, FixedPoint, OpCounters,
-                           audit, fir_filter, forward_conv1d, forward_dense,
-                           forward_esn, forward_gru, forward_lstm,
-                           forward_rnn, iir_filter, random_weights,
-                           run_batches, zero_state)
+                           audit, fir_filter, iir_filter, random_weights,
+                           run_batches, run_layer, zero_state)
 
 BITS8 = BitwidthConfig(8, 8, 8)
 
@@ -24,19 +22,19 @@ class TestDense:
     def test_zero_weights_relu(self):
         spec = Dense(3, 2, activation="relu")
         w = DenseWeights(W=np.zeros((3, 2)), b=np.zeros(3))
-        y, _ = forward_dense(spec, w, [1.0, -2.0])
+        y, _, _ = run_layer(spec, w, [1.0, -2.0])
         np.testing.assert_array_equal(y, np.zeros(3))
 
     def test_identity(self):
         spec = Dense(2, 2, activation="linear")
         w = DenseWeights(W=np.eye(2), b=np.zeros(2))
-        y, _ = forward_dense(spec, w, [0.3, -0.7])
+        y, _, _ = run_layer(spec, w, [0.3, -0.7])
         np.testing.assert_allclose(y, [0.3, -0.7])
 
     def test_counters(self):
         spec = Dense(3, 2)
         w = random_weights(spec, 0)
-        _, c = forward_dense(spec, w, np.ones(2))
+        _, _, c = run_layer(spec, w, np.ones(2))
         assert c.mults == 6 == rm_layer(spec)
         assert c.adds == 3 * 1 + 3
         assert c.activations == 3
@@ -45,7 +43,7 @@ class TestDense:
         spec = Dense(3, 2)
         w = random_weights(spec, 0)
         with pytest.raises(ShapeError):
-            forward_dense(spec, w, np.ones(5))
+            run_layer(spec, w, np.ones(5))
 
 
 class TestConv1D:
@@ -53,20 +51,20 @@ class TestConv1D:
         spec = Conv1D(n_f=1, n_i=1, n_k=1, n_s=4, activation="linear")
         w = interp.ConvWeights(kernels=np.ones((1, 1, 1)), biases=np.zeros(1))
         x = np.array([[1.0], [2.0], [-3.0], [0.5]])
-        maps, _ = forward_conv1d(spec, w, x)
+        maps, _, _ = run_layer(spec, w, x)
         np.testing.assert_allclose(maps[0], x[:, 0])
 
     def test_hand_convolution(self):
         spec = Conv1D(n_f=1, n_i=1, n_k=2, n_s=3, activation="linear")
         w = interp.ConvWeights(kernels=np.full((1, 2, 1), 0.5),
                                biases=np.zeros(1))
-        maps, _ = forward_conv1d(spec, w, np.array([[1.0], [0.0], [0.0]]))
+        maps, _, _ = run_layer(spec, w, np.array([[1.0], [0.0], [0.0]]))
         np.testing.assert_allclose(maps[0], [0.5, 0.0])
 
     def test_counters(self):
         spec = Conv1D(n_f=2, n_i=3, n_k=3, n_s=10)
         w = random_weights(spec, 1)
-        _, c = forward_conv1d(spec, w, np.ones((10, 3)))
+        _, _, c = run_layer(spec, w, np.ones((10, 3)))
         assert c.mults == rm_layer(spec)
         assert c.activations == 2 * spec.output_size
 
@@ -74,7 +72,7 @@ class TestConv1D:
         spec = Conv1D(n_f=1, n_i=1, n_k=5, n_s=5, dilation=2)
         w = random_weights(spec, 1)
         with pytest.raises(EmptyOutput):
-            forward_conv1d(spec, w, np.ones((5, 1)))
+            run_layer(spec, w, np.ones((5, 1)))
 
     def test_fir_correspondence(self):
         # Linear zero-bias convolution equals an FIR filter with the
@@ -87,7 +85,7 @@ class TestConv1D:
             kernel = rng.normal(size=(1, n_k, 1))
             w = interp.ConvWeights(kernels=kernel, biases=np.zeros(1))
             x = rng.normal(size=(n_s, 1))
-            maps, _ = forward_conv1d(spec, w, x)
+            maps, _, _ = run_layer(spec, w, x)
             ref = fir_filter(kernel[0, ::-1, 0], x[:, 0])[n_k - 1:]
             np.testing.assert_allclose(maps[0], ref, atol=1e-12)
 
@@ -97,7 +95,7 @@ class TestRNN:
         spec = VanillaRNN(2, 3, 4)
         w = interp.RNNWeights(W=np.zeros((3, 2)), U=np.zeros((3, 3)),
                               b=np.zeros(3))
-        h_seq, state, _ = forward_rnn(spec, w, np.ones((4, 2)))
+        h_seq, state, _ = run_layer(spec, w, np.ones((4, 2)))
         np.testing.assert_array_equal(h_seq, np.zeros((4, 3)))
         np.testing.assert_array_equal(state.h, np.zeros(3))
 
@@ -109,14 +107,14 @@ class TestRNN:
             w = interp.RNNWeights(W=np.array([[w_val]]),
                                   U=np.array([[u_val]]), b=np.zeros(1))
             x = rng.normal(size=8)
-            h_seq, _, _ = forward_rnn(spec, w, x[:, None])
+            h_seq, _, _ = run_layer(spec, w, x[:, None])
             ref = iir_filter([w_val], [u_val], x)
             np.testing.assert_allclose(h_seq[:, 0], ref, atol=1e-12)
 
     def test_counters(self):
         spec = VanillaRNN(3, 2, 2)
         w = random_weights(spec, 2)
-        _, _, c = forward_rnn(spec, w, np.ones((2, 3)))
+        _, _, c = run_layer(spec, w, np.ones((2, 3)))
         assert c.mults == 2 * 2 * 5 == rm_layer(spec)
 
 
@@ -125,7 +123,7 @@ class TestLSTM:
         spec = LSTM(1, 2, 3)
         w = interp.LSTMWeights(W=np.zeros((4, 2, 1)), U=np.zeros((4, 2, 2)),
                                b=np.zeros((4, 2)))
-        h_seq, state, _ = forward_lstm(spec, w, np.ones((3, 1)))
+        h_seq, state, _ = run_layer(spec, w, np.ones((3, 1)))
         np.testing.assert_array_equal(h_seq, np.zeros((3, 2)))
         np.testing.assert_array_equal(state.C, np.zeros(2))
 
@@ -136,20 +134,20 @@ class TestLSTM:
         w.b[1] = 100.0  # forget gate saturates to 1
         c0 = np.array([0.37, -1.2])
         init = CellState(h=np.zeros(2), C=c0.copy())
-        _, state, _ = forward_lstm(spec, w, np.zeros((1, 1)), init_state=init)
+        _, state, _ = run_layer(spec, w, np.zeros((1, 1)), init_state=init)
         assert np.max(np.abs(state.C - c0)) < 1e-40
 
     def test_counters(self):
         spec = LSTM(1, 1, 1)
         w = random_weights(spec, 3)
-        _, _, c = forward_lstm(spec, w, np.ones((1, 1)))
+        _, _, c = run_layer(spec, w, np.ones((1, 1)))
         assert c.mults == 11 == rm_layer(spec)
 
     def test_outputs_bounded(self):
         spec = LSTM(2, 4, 6)
         w = random_weights(spec, 4)
-        h_seq, _, _ = forward_lstm(spec, w,
-                                   np.random.default_rng(4).normal(size=(6, 2)))
+        h_seq, _, _ = run_layer(spec, w,
+                                np.random.default_rng(4).normal(size=(6, 2)))
         assert np.all(np.abs(h_seq) < 1.0)
 
 
@@ -158,7 +156,7 @@ class TestGRU:
         spec = GRU(1, 2, 3)
         w = interp.GRUWeights(W=np.zeros((3, 2, 1)), U=np.zeros((3, 2, 2)),
                               b=np.zeros((3, 2)))
-        h_seq, _, _ = forward_gru(spec, w, np.ones((3, 1)))
+        h_seq, _, _ = run_layer(spec, w, np.ones((3, 1)))
         np.testing.assert_array_equal(h_seq, np.zeros((3, 2)))
 
     def test_update_gate_freezes_state(self):
@@ -168,13 +166,13 @@ class TestGRU:
         w.b[0] = 100.0  # update gate ~1 keeps the previous state
         v = np.array([0.25, -0.6])
         init = CellState(h=v.copy())
-        h_seq, _, _ = forward_gru(spec, w, np.ones((4, 1)), init_state=init)
+        h_seq, _, _ = run_layer(spec, w, np.ones((4, 1)), init_state=init)
         assert np.max(np.abs(h_seq - v)) < 1e-12
 
     def test_counters(self):
         spec = GRU(1, 2, 1)
         w = random_weights(spec, 5)
-        _, _, c = forward_gru(spec, w, np.ones((1, 1)))
+        _, _, c = run_layer(spec, w, np.ones((1, 1)))
         assert c.mults == 24 == rm_layer(spec)
 
 
@@ -183,7 +181,7 @@ class TestESN:
         spec = EchoState(n_i=1, N_r=5, s_p=0.5, n_o=1, n_s=3, leak=1.0)
         w = random_weights(spec, 6)
         trace = []
-        forward_esn(spec, w, np.ones((3, 1)), state_trace=trace)
+        run_layer(spec, w, np.ones((3, 1)), state_trace=trace)
         # mu=1 collapses the blend: s_t is exactly the new activation
         s = np.zeros(5)
         for t in range(3):
@@ -196,21 +194,20 @@ class TestESN:
         w = random_weights(spec, 7)
         s0 = np.array([0.1, -0.2, 0.3, 0.4])
         init = CellState(s=s0.copy(), y_prev=np.zeros(1))
-        _, state, _ = forward_esn(spec, w, np.ones((5, 1)), init_state=init)
+        _, state, _ = run_layer(spec, w, np.ones((5, 1)), init_state=init)
         np.testing.assert_allclose(state.s, s0, atol=1e-12)
 
     def test_counters_match_analytic(self):
         spec = EchoState(n_i=2, N_r=10, s_p=0.5, n_o=1, n_s=1)
         w = random_weights(spec, 8)
-        _, _, c = forward_esn(spec, w, np.ones((1, 2)))
+        _, _, c = run_layer(spec, w, np.ones((1, 2)))
         assert c.mults == 100 == rm_layer(spec)
 
     def test_feedback_adds_counted_products(self):
         spec = EchoState(n_i=2, N_r=6, s_p=0.5, n_o=3, n_s=4)
         w = random_weights(spec, 9)
-        _, _, base = forward_esn(spec, w, np.ones((4, 2)))
-        _, _, fb = forward_esn(spec, w, np.ones((4, 2)),
-                               feedback_enabled=True)
+        _, _, base = run_layer(spec, w, np.ones((4, 2)))
+        _, _, fb = run_layer(spec, w, np.ones((4, 2)), feedback=True)
         assert fb.mults - base.mults == 4 * 6 * 3
 
     def test_reservoir_sparsity_structure(self):
@@ -339,13 +336,13 @@ class TestFixedPoint:
         w = random_weights(spec, 16)
         x = rng.uniform(-1, 1, 7)
         mode = FixedPoint(BITS8, quant.PoT(8))
-        y_fixed, c = forward_dense(spec, w, x, mode)
+        y_fixed, _, c = run_layer(spec, w, x, mode)
         assert c.mults == 0
         assert c.shifts == 35  # every weight product became one shift
         w_deq = copy.deepcopy(w)
         w_deq.W = quant.quantize_pot(w.W, 8).values
         xq, _ = interp._quantize_operand(x, 8)
-        y_ref, _ = forward_dense(spec, w_deq, xq)
+        y_ref, _, _ = run_layer(spec, w_deq, xq)
         np.testing.assert_allclose(y_fixed, y_ref, atol=1e-15)
 
     def test_pot_recurrent_keeps_hadamard_mults(self):
@@ -353,7 +350,7 @@ class TestFixedPoint:
         w = random_weights(spec, 17)
         x = np.random.default_rng(17).uniform(-1, 1, (4, 2))
         mode = FixedPoint(BITS8, quant.PoT(8))
-        _, _, c = forward_lstm(spec, w, x, mode)
+        _, _, c = run_layer(spec, w, x, mode)
         assert c.mults == 3 * 3 * 4  # only the three Hadamards per step
         assert c.mults + c.shifts == rm_layer(spec)
 
@@ -362,7 +359,7 @@ class TestFixedPoint:
         w = random_weights(spec, 18)
         x = np.random.default_rng(18).uniform(-1, 1, (5, 3))
         mode = FixedPoint(BITS8, quant.FixedUniform(8))
-        _, _, c = forward_rnn(spec, w, x, mode)
+        _, _, c = run_layer(spec, w, x, mode)
         assert c.mults == rm_layer(spec)
         assert c.overflows == 0
 
@@ -371,7 +368,7 @@ class TestFixedPoint:
         w = random_weights(spec, 19)
         x = np.ones(3)
         mode = FixedPoint(BITS8, quant.APoT(8, 3))
-        _, c = forward_dense(spec, w, x, mode)
+        _, _, c = run_layer(spec, w, x, mode)
         qw = quant.quantize_apot(w.W, 8, 3)
         n_terms = sum(len(t) for t in qw.terms)
         assert c.shifts == n_terms
@@ -522,8 +519,6 @@ class TestStableSigmoid:
 SIX_KINDS = [Dense(3, 2), Conv1D(n_f=2, n_i=2, n_k=2, n_s=5),
              VanillaRNN(2, 3, 4), LSTM(2, 3, 4), GRU(2, 3, 4),
              EchoState(n_i=2, N_r=6, s_p=0.5, n_o=2, n_s=4)]
-RECURRENT_FORWARD = {VanillaRNN: forward_rnn, LSTM: forward_lstm,
-                     GRU: forward_gru, EchoState: forward_esn}
 
 
 class TestShapeChecks:
@@ -560,29 +555,48 @@ class TestShapeChecks:
         rng = np.random.default_rng(32)
         w = random_weights(spec, rng)
         x = interp._nominal_input(spec, rng)
-        forward = RECURRENT_FORWARD[type(spec)]
         for name, value in vars(zero_state(spec)).items():
             if value is None:
                 continue
             state = CellState(**{name: np.zeros(value.size + 1)})
             with pytest.raises(ShapeError, match=f"init_state.{name}"):
-                forward(spec, w, x, init_state=state)
+                run_layer(spec, w, x, init_state=state)
 
     def test_conv_input_length_checked(self):
         spec = SIX_KINDS[1]
         w = random_weights(spec, 33)
         for n in (spec.n_s - 1, spec.n_s + 1):
             with pytest.raises(ShapeError):
-                forward_conv1d(spec, w, np.ones((n, spec.n_i)))
+                run_layer(spec, w, np.ones((n, spec.n_i)))
 
     def test_esn_feedback_needs_w_back(self):
         spec = SIX_KINDS[5]
         w = random_weights(spec, 34)
         w.W_back = None
         x = np.ones((spec.n_s, spec.n_i))
-        forward_esn(spec, w, x)  # feedback off: W_back unused
+        run_layer(spec, w, x)  # feedback off: W_back unused
         with pytest.raises(ShapeError, match="W_back"):
-            forward_esn(spec, w, x, feedback_enabled=True)
+            run_layer(spec, w, x, feedback=True)
+
+    @pytest.mark.parametrize("given", [{"init_state": CellState()},
+                                       {"state_trace": []}])
+    @pytest.mark.parametrize("spec", SIX_KINDS[:2])
+    def test_state_arguments_need_recurrent_layer(self, spec, given):
+        rng = np.random.default_rng(37)
+        w = random_weights(spec, rng)
+        x = interp._nominal_input(spec, rng)
+        with pytest.raises(TypeError, match="need a recurrent layer"):
+            run_layer(spec, w, x, **given)
+
+    @pytest.mark.parametrize("spec", SIX_KINDS[2:5])
+    def test_state_trace_without_readout_is_h(self, spec):
+        rng = np.random.default_rng(38)
+        w = random_weights(spec, rng)
+        trace = []
+        h_seq, state, _ = run_layer(spec, w, interp._nominal_input(spec, rng),
+                                    state_trace=trace)
+        np.testing.assert_array_equal(np.stack(trace), h_seq)
+        np.testing.assert_array_equal(trace[-1], state.h)
 
 
 class TestBatchedFeedforward:
@@ -592,8 +606,8 @@ class TestBatchedFeedforward:
             spec = Dense(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
             w = random_weights(spec, rng)
             X = rng.normal(size=(int(rng.integers(1, 200)), spec.n_i))
-            y, c = forward_dense(spec, w, X)
-            rows = np.stack([forward_dense(spec, w, x)[0] for x in X])
+            y, _, c = run_layer(spec, w, X)
+            rows = np.stack([run_layer(spec, w, x)[0] for x in X])
             np.testing.assert_array_equal(y, rows)
             assert c.mults == X.shape[0] * rm_layer(spec)
 
@@ -601,9 +615,9 @@ class TestBatchedFeedforward:
         spec = Conv1D(n_f=1, n_i=2, n_k=3, n_s=7, padding=1, stride=2)
         w = random_weights(spec, 36)
         X = np.random.default_rng(36).normal(size=(9, 7, 2))
-        maps, c = forward_conv1d(spec, w, X)
+        maps, _, c = run_layer(spec, w, X)
         np.testing.assert_array_equal(
-            maps, np.stack([forward_conv1d(spec, w, x)[0] for x in X]))
+            maps, np.stack([run_layer(spec, w, x)[0] for x in X]))
         assert c.mults == 9 * rm_layer(spec)
 
 
@@ -711,11 +725,11 @@ class TestInputQuantization:
         np.testing.assert_allclose(got, x, rtol=2.0 ** -52, atol=0.0)
 
     @pytest.mark.parametrize("run", [
-        lambda mode: forward_dense(Dense(2, 3), random_weights(Dense(2, 3), 0),
-                                   np.ones(3), mode),
-        lambda mode: forward_rnn(VanillaRNN(3, 2, 4),
-                                 random_weights(VanillaRNN(3, 2, 4), 0),
-                                 np.ones((4, 3)), mode),
+        lambda mode: run_layer(Dense(2, 3), random_weights(Dense(2, 3), 0),
+                               np.ones(3), mode),
+        lambda mode: run_layer(VanillaRNN(3, 2, 4),
+                               random_weights(VanillaRNN(3, 2, 4), 0),
+                               np.ones((4, 3)), mode),
     ])
     def test_one_bit_input_rejected(self, run):
         mode = FixedPoint(BitwidthConfig(b_i=1), quant.FixedUniform(8))
@@ -736,13 +750,13 @@ class TestInputQuantization:
         spec = Dense(2, 3)
         w = random_weights(spec, 0)
         with pytest.raises(DomainError, match="input must be finite"):
-            forward_dense(spec, w, np.array([0.5, bad, -0.2]), mode)
+            run_layer(spec, w, np.array([0.5, bad, -0.2]), mode)
         cell = LSTM(3, 2, 4)
         x = np.ones((4, 3))
         x[2, 1] = bad
         with pytest.raises(DomainError, match="input must be finite"):
-            forward_lstm(cell, random_weights(cell, 0), x, mode)
-        forward_dense(spec, w, np.array([0.5, bad, -0.2]))  # float: no check
+            run_layer(cell, random_weights(cell, 0), x, mode)
+        run_layer(spec, w, np.array([0.5, bad, -0.2]))  # float: no check
 
 
 class TestExecutionConfig:
@@ -771,12 +785,8 @@ class TestExecutionConfig:
             audit(self.NET, BITS8, quant.PoT(8), seed=0, mode=mode)
         spec = Dense(2, 3)
         with pytest.raises(DomainError, match="mode must be"):
-            forward_dense(spec, random_weights(spec, 0), np.ones(3), mode)
+            run_layer(spec, random_weights(spec, 0), np.ones(3), mode)
         cell = GRU(3, 2, 4)
         with pytest.raises(DomainError, match="mode must be"):
             run_batches(cell, random_weights(cell, 0), [np.ones((4, 3))],
                         mode=mode)
-
-    def test_feedforward_entry_points_are_run_layer(self):
-        assert forward_dense is interp.run_layer
-        assert forward_conv1d is interp.run_layer

@@ -446,5 +446,5 @@ class TestEffectiveRM:
         mask = magnitude_prune(rng.uniform(-1, 1, n), 0.4)
         pruned = interp.apply_prune_mask(weights, mask)
         x = interp._nominal_input(layer, rng)
-        _, counters = interp.run_layer(layer, pruned, x)
+        _, _, counters = interp.run_layer(layer, pruned, x)
         assert counters.mults == effective_rm(layer, mask)

@@ -20,8 +20,8 @@ import pytest
 
 from nncost import arch, costmodel, interp, quant
 from nncost.arch import GRU, LSTM, BitwidthConfig, EchoState, VanillaRNN
-from nncost.interp import (CellState, FixedPoint, OpCounters, forward_esn,
-                           forward_rnn, random_weights, run_batches)
+from nncost.interp import (CellState, FixedPoint, OpCounters, random_weights,
+                           run_batches, run_layer)
 
 # ---------------------------------------------------------------------------
 # Frozen reference: the per-gate steps, verbatim apart from being functions
@@ -266,9 +266,7 @@ def random_state(spec, rng):
 
 def run(spec, weights, x, mode, init_state=None, feedback=False):
     """The interpreter's forward pass of the spec's kind."""
-    if isinstance(spec, EchoState):
-        return forward_esn(spec, weights, x, mode, feedback, init_state)
-    return forward_rnn(spec, weights, x, mode, init_state)
+    return run_layer(spec, weights, x, mode, init_state, feedback)
 
 
 @pytest.mark.parametrize("n_h", N_H)
@@ -356,8 +354,7 @@ def test_esn_state_trace_bitwise_equal(feedback):
     weights = random_weights(spec, rng)
     x = rng.uniform(-1.0, 1.0, (30, 4))
     got_trace, want_trace = [], []
-    forward_esn(spec, weights, x, feedback_enabled=feedback,
-                state_trace=got_trace)
+    run_layer(spec, weights, x, feedback=feedback, state_trace=got_trace)
     reference_run(spec, weights, x, feedback=feedback,
                   state_trace=want_trace)
     assert_same_bits(np.stack(got_trace), np.stack(want_trace))
