@@ -107,9 +107,42 @@ def kernel(x, x_prime, params: GPParams) -> float:
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, signal_var: float,
                    ell: np.ndarray) -> np.ndarray:
-    diff = A[:, None, :] - B[None, :, :]
-    sq = np.sum((diff / ell) ** 2, axis=2)
+    # One (m, n) plane of squared scaled differences per dimension, summed
+    # in np.add.reduce's order: bitwise the sum over the last axis of the
+    # (m, n, d) array of differences, without numpy's inner loop running
+    # over runs of length d.
+    planes = [((A[:, j, None] - B[None, :, j]) / ell[j]) ** 2
+              for j in range(A.shape[1])]
+    sq = _reduce_sum(planes) if planes else np.zeros((len(A), len(B)))
     return signal_var * np.exp(-0.5 * sq)
+
+
+def _reduce_sum(terms: list) -> np.ndarray:
+    """Sum of equal-shape arrays, added in the order np.add.reduce adds the
+    elements of a contiguous axis of length len(terms) (its pairwise sum):
+    one by one below 8 terms; up to 128 terms, eight running sums over
+    blocks of 8, combined pairwise, then the leftover terms one by one;
+    above 128, the halves apart, the first rounded down to a multiple of 8.
+    Accumulates into the arrays of ``terms``."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _reduce_sum(terms[:half]) + _reduce_sum(terms[half:])
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+    r = terms[:8]
+    for start in range(8, n - n % 8, 8):
+        for j in range(8):
+            r[j] += terms[start + j]
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    total = r[0]
+    for term in terms[n - n % 8:]:
+        total += term
+    return total
 
 
 def gp_fit(trials, params: GPParams | None = None) -> GPModel:

@@ -50,6 +50,17 @@ def _number(value) -> bool:
             and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
+def _float_range(low, high, log: bool) -> bool:
+    """Whether the interval decoder's low, high and high - low (high / low
+    on a log scale, low > 0) are finite floats. An integer bound may lie
+    beyond the float range, and a float ratio may overflow."""
+    try:
+        return all(math.isfinite(float(x)) for x in (
+            low, high, high / low if log else high - low))
+    except OverflowError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Search space
 
@@ -82,6 +93,11 @@ class Dimension:
                 raise ValueError("int dimension needs |low|, |high| < 2**53")
             if self.log and self.low <= 0:
                 raise ValueError("log scaling needs positive low")
+            if self.kind == "float" and not _float_range(self.low, self.high,
+                                                         self.log):
+                raise ValueError("float dimension needs low, high and "
+                                 "high - low (high / low with log) within "
+                                 "the float range")
 
     def _coordinates(self, u: np.ndarray) -> np.ndarray:
         """Decoded coordinates of a column of unit-interval values: the
@@ -133,6 +149,61 @@ def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
+@dataclass
+class _CostTable:
+    """Validity and constrained-metric total of every architecture of a
+    small all-``int``/``cat`` space, by mixed-radix index, filled the first
+    time a screened pool holds an index.
+
+    The index of decoded coordinates ``c`` is ``sum_j (c_j - offsets[j]) *
+    prod(radices[j+1:])``: the first dimension is most significant, so
+    ascending index order is the lexicographic order of the keys.
+    """
+
+    offsets: tuple  # each dimension's lowest coordinate
+    radices: tuple
+    metric: int  # position of the constrained metric in a totals tuple
+    known: np.ndarray
+    valid: np.ndarray  # built and costed
+    # int64, or Python ints (object) once a total does not fit int64, so
+    # every comparison stays exact.
+    cost: np.ndarray
+
+    def screen(self, columns, totals, limit) -> np.ndarray:
+        """Verdict per row of decoded ``columns`` under ``limit`` (None for
+        no budget). ``totals(key)`` looks up each index not yet known, in
+        ascending order."""
+        index = np.zeros(columns[0].shape, dtype=np.int64)
+        for column, offset, radix in zip(columns, self.offsets, self.radices):
+            index *= radix
+            index += column - offset
+        unseen = np.zeros(self.known.size, dtype=bool)
+        unseen[index] = True
+        unseen[self.known] = False
+        fresh = np.flatnonzero(unseen)
+        coordinates = np.unravel_index(fresh, self.radices)
+        keys = zip(*((c + offset).tolist()
+                     for c, offset in zip(coordinates, self.offsets)))
+        for i, found in zip(fresh.tolist(), map(totals, keys)):
+            self.known[i] = True
+            if found is None:
+                continue
+            self.valid[i] = True
+            try:
+                self.cost[i] = found[self.metric]
+            except OverflowError:
+                self.cost = self.cost.astype(object)
+                self.cost[i] = found[self.metric]
+        verdict = self.valid[index]
+        if limit is not None:
+            if not isinstance(limit, numbers.Integral) and \
+                    math.isfinite(limit):
+                # an integer total t <= limit exactly when t <= floor(limit)
+                limit = math.floor(limit)
+            verdict &= self.cost[index] <= limit
+        return verdict
+
+
 def _references(node, path: str):
     """(path, name) of every ``"$name"`` string in a template node."""
     if isinstance(node, str) and node.startswith("$"):
@@ -160,12 +231,19 @@ class SearchSpace:
     """Dimensions plus a network template and an optional complexity budget.
 
     ``screen`` decides a whole candidate pool in one pass: it decodes every
-    column at once, groups the rows by decoded architecture (the tuple of
-    integer values, float values and category indices) with one
-    lexicographic sort, and looks each distinct architecture up once. It
-    is the constraint the optimizer calls: an (m, n_dims) pool in, m
-    booleans out. ``feasible`` is a one-row ``screen``. Every ``"$name"``
-    in the template must name a dimension; SchemaError names its path.
+    column at once and looks each distinct decoded architecture (the tuple
+    of integer values, float values and category indices) up once. In a
+    space of only ``int`` and ``cat`` dimensions with at most
+    ``_COST_MEMO_LIMIT`` architectures, each row maps to its mixed-radix
+    index (first dimension most significant, ``value - low`` for an int
+    dimension) into per-space arrays of validity and constrained-metric
+    totals, filled in ascending index order the first time a pool holds an
+    index; other spaces group the rows with one lexicographic sort
+    (``_distinct_rows``). Both look new architectures up in the same
+    order. ``screen`` is the constraint the optimizer calls: an
+    (m, n_dims) pool in, m booleans out. ``feasible`` is a one-row
+    ``screen``. Dimension names must be distinct, and every ``"$name"`` in
+    the template must name a dimension; SchemaError names the path.
 
     Cost totals are computed once per distinct decoded architecture and
     kept for the life of the space. Budgets apply when the totals are
@@ -195,6 +273,10 @@ class SearchSpace:
             raise ValueError("metric must be one of rm, bop, nabs")
         object.__setattr__(self, "metric", self.metric.lower())
         names = [dim.name for dim in self.dimensions]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise SchemaError(f"dimensions[{i}].name",
+                                  f"duplicate dimension name {name!r}")
         for path, name in _references(self.template, "template"):
             if name not in names:
                 raise SchemaError(path, f"unknown dimension {name!r}")
@@ -202,6 +284,26 @@ class SearchSpace:
     @property
     def n_dims(self) -> int:
         return len(self.dimensions)
+
+    @functools.cached_property
+    def _table(self) -> _CostTable | None:
+        """The index table ``screen`` fills, for a space of only int and
+        cat dimensions with at most ``_COST_MEMO_LIMIT`` architectures;
+        None for any other space."""
+        if any(dim.kind == "float" for dim in self.dimensions):
+            return None
+        offsets = tuple(0 if dim.kind == "cat" else int(dim.low)
+                        for dim in self.dimensions)
+        radices = tuple(len(dim.values) if dim.kind == "cat"
+                        else int(dim.high) - low + 1
+                        for dim, low in zip(self.dimensions, offsets))
+        size = math.prod(radices)
+        if size > _COST_MEMO_LIMIT:
+            return None
+        return _CostTable(offsets, radices, _METRICS.index(self.metric),
+                          np.zeros(size, dtype=bool),
+                          np.zeros(size, dtype=bool),
+                          np.zeros(size, dtype=np.int64))
 
     def _columns(self, pool: np.ndarray) -> list:
         """Decoded coordinates of an (m, n_dims) pool, one array per
@@ -255,8 +357,9 @@ class SearchSpace:
         """Per row of an (m, n_dims) pool, whether it decodes to a valid
         network within the budget (``self.budget`` when None), as m booleans.
 
-        Each distinct decoded architecture in the pool is looked up once,
-        in lexicographic order of its coordinates. A pool of the wrong
+        Each distinct decoded architecture in the pool is looked up in
+        lexicographic order of its coordinates: once per pool, or, in a
+        space with an index table, once per space. A pool of the wrong
         shape, or one holding NaN, raises DomainError.
         """
         pool = np.asarray(pool, dtype=float)
@@ -264,9 +367,11 @@ class SearchSpace:
             raise DomainError(f"pool has shape {pool.shape}, expected "
                               f"(m, {self.n_dims})")
         columns = self._columns(pool)
+        limit = self.budget if budget is None else budget
+        if self._table is not None:
+            return self._table.screen(columns, self._totals, limit)
         first, group = _distinct_rows(columns)
         keys = zip(*(column[first].tolist() for column in columns))
-        limit = self.budget if budget is None else budget
         index = _METRICS.index(self.metric)
         return np.array([t is not None and (limit is None or t[index] <= limit)
                          for t in map(self._totals, keys)], dtype=bool)[group]

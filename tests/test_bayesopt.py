@@ -96,6 +96,36 @@ class TestKernel:
                 assert kernel(X[i], X[j], params) == K[i, j]
 
 
+class TestKernelMatrixMatchesReference:
+    @staticmethod
+    def reference(A, B, signal_var, ell):
+        """The (m, n, d) broadcast ``_kernel_matrix`` was first written as:
+        numpy sums the last axis pairwise, so the per-dimension planes
+        must be added in that order to round the same."""
+        diff = A[:, None, :] - B[None, :, :]
+        sq = np.sum((diff / ell) ** 2, axis=2)
+        return signal_var * np.exp(-0.5 * sq)
+
+    @pytest.mark.parametrize("d", list(range(1, 41)) + [129, 300])
+    def test_bitwise(self, d):
+        rng = np.random.default_rng([33, d])
+        for m, n in ((2048, 9), (5, 5), (1, 1), (3, 0)):
+            A = rng.uniform(-0.2, 1.2, size=(m, d))
+            B = A[:n] if m == n else rng.uniform(size=(n, d))
+            ell = rng.uniform(0.05, 2.0, size=d)
+            got = bayesopt._kernel_matrix(A, B, 0.7, ell)
+            want = self.reference(A, B, 0.7, ell)
+            assert got.shape == want.shape == (m, n)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+
+    def test_no_dimensions(self):
+        A, B = np.zeros((4, 0)), np.zeros((2, 0))
+        np.testing.assert_array_equal(
+            bayesopt._kernel_matrix(A, B, 1.5, np.zeros(0)),
+            np.full((4, 2), 1.5))
+
+
 class TestGP:
     def test_single_trial_interpolates(self):
         model = gp_fit([trial(0.4, 3.0)])

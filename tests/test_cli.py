@@ -287,6 +287,36 @@ class TestInputErrors:
         assert capsys.readouterr().err == (
             "error: template.layers[0].n_o: unknown dimension 'outputs'\n")
 
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_duplicate_dimension_name_exit_2(self, command, space_file,
+                                             task_file, tmp_path, capsys):
+        doc = json.loads(open(space_file).read())
+        doc["dimensions"].append({"name": "res", "kind": "int", "low": 100,
+                                  "high": 200})
+        space = tmp_path / "bad_space.json"
+        space.write_text(json.dumps(doc))
+        assert main(_argv(command, space, task_file)) == 2
+        assert capsys.readouterr().err == (
+            "error: dimensions[1].name: duplicate dimension name 'res'\n")
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("low, high", [(0.2, 10 ** 400),
+                                           (-10 ** 400, 1.0)],
+                             ids=["huge-high", "huge-low"])
+    def test_float_bound_beyond_float_range_exit_2(self, command, low, high,
+                                                   space_file, task_file,
+                                                   tmp_path, capsys):
+        doc = json.loads(open(space_file).read())
+        doc["dimensions"].append({"name": "leak", "kind": "float",
+                                  "low": low, "high": high})
+        doc["template"]["layers"][0]["leak"] = "$leak"
+        space = tmp_path / "bad_space.json"
+        space.write_text(json.dumps(doc))
+        assert main(_argv(command, space, task_file)) == 2
+        assert capsys.readouterr().err == (
+            "error: dimensions[1]: float dimension needs low, high and "
+            "high - low (high / low with log) within the float range\n")
+
     def test_template_not_object_exit_2(self, space_file, task_file,
                                         tmp_path, capsys):
         doc = {**json.loads(open(space_file).read()), "template": []}

@@ -1,6 +1,7 @@
 """Search-space, cross-validation and sweep tests."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -108,15 +109,18 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def kernel_pin(default, prescott):
+def kernel_pin(default, prescott, haswell):
     """The digest pinned for the OpenBLAS kernel in use. BLAS rounds per
     kernel, so a CSV of scores is byte-identical across reruns on one kernel
-    only. ``default`` belongs to the autodetected kernel (SkylakeX on the
-    machine the pins were taken on; ``OPENBLAS_CORETYPE=Haswell`` gives
-    other digests), ``prescott`` to ``OPENBLAS_CORETYPE=Prescott``."""
-    if os.environ.get("OPENBLAS_CORETYPE") == "Prescott":
-        return prescott
-    return default
+    only. ``default`` belongs to the kernel OpenBLAS autodetects on the
+    machine the pins were taken on, SkylakeX (the Haswell in numpy's build
+    configuration is the compile target, not the kernel that runs);
+    ``prescott`` and ``haswell`` to ``OPENBLAS_CORETYPE=Prescott`` and
+    ``OPENBLAS_CORETYPE=Haswell``, the kernel OpenBLAS picks on AVX2-only
+    and many AMD CPUs. A machine that autodetects another kernel checks
+    the pins with that variable set to one of these two."""
+    return {"Prescott": prescott, "Haswell": haswell}.get(
+        os.environ.get("OPENBLAS_CORETYPE"), default)
 
 
 class TestKFold:
@@ -465,7 +469,9 @@ class TestCostMemo:
             "316267ce5b41af856ba530f85737d855"
             "dde297f2c1abc53bf894c560780d341a",
             prescott="79ae0c7879834ac56a17aab38a7581d1"
-                     "5e799890ca97f8907812fb406aa81d50")
+                     "5e799890ca97f8907812fb406aa81d50",
+            haswell="60ccd011dd8c880dc508f36bd6387fc2"
+                    "234ee35cd673b4cbd964b590af4b8a36")
 
     def test_search_history_csv_pinned(self, tmp_path):
         space = tmp_path / "space.json"
@@ -488,7 +494,9 @@ class TestCostMemo:
             "2a7d39ead4ce47b798845efa9127da02"
             "9470b4e41a5bc22268961e194034b949",
             prescott="71dbef203b8add3ae2d0ed73488a97b2"
-                     "974f79b6626ac45d6fd7ec38ddaf1008")
+                     "974f79b6626ac45d6fd7ec38ddaf1008",
+            haswell="baa1fcae9fe605383167fe3ba39ecbd6"
+                    "1702f8ead93927d26b43c173bb37eba7")
 
 
 class TestPoolScreen:
@@ -655,11 +663,48 @@ class TestSpaceSchema:
              "n_o": "$outputs", "n_s": 4}]}}, "template.layers[0].n_o"),
         ({"template": {"$name": "$res", "layers": ["$res", "$x"]}},
          "template.layers[1]"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": 2, "high": 8},
+                         {"name": "res", "kind": "int", "low": 100,
+                          "high": 200}]}, "dimensions[1].name"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": 2, "high": 8},
+                         {"name": "leak", "kind": "float", "low": 0.2,
+                          "high": 10 ** 400}]}, "dimensions[1]"),
+        ({"dimensions": [{"name": "res", "kind": "float", "low": -10 ** 400,
+                          "high": 8}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "float", "low": 10 ** 400,
+                          "high": 10 ** 400 + 1}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "float", "low": 0.5,
+                          "high": 10 ** 400, "log": True}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "float", "low": -1e308,
+                          "high": 1e308}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "float", "low": 1e-200,
+                          "high": 1e200, "log": True}]}, "dimensions[0]"),
     ])
     def test_bad_field_names_path(self, extra, path):
         with pytest.raises(SchemaError) as err:
             SearchSpace.from_json({**self.BASE, **extra})
         assert err.value.path == path
+
+    def test_duplicate_name_message(self):
+        doc = {**self.BASE, "dimensions": [
+            {"name": "z", "kind": "int", "low": 1, "high": 8},
+            {"name": "res", "kind": "int", "low": 2, "high": 8},
+            {"name": "z", "kind": "int", "low": 100, "high": 200}]}
+        with pytest.raises(SchemaError) as err:
+            SearchSpace.from_json(doc)
+        assert str(err.value) == (
+            "dimensions[2].name: duplicate dimension name 'z'")
+
+    def test_float_bounds_inside_float_range_accepted(self):
+        dims = [{"name": "res", "kind": "int", "low": 2, "high": 8},
+                {"name": "x", "kind": "float", "low": -10 ** 300,
+                 "high": 10 ** 300}]
+        space = SearchSpace.from_json({**self.BASE, "dimensions": dims})
+        assert space.decode([0.0, 1.0])["x"] == 1e300
+        dims[1] = {"name": "x", "kind": "float", "low": 1e-150, "high": 1e150,
+                   "log": True}
+        space = SearchSpace.from_json({**self.BASE, "dimensions": dims})
+        assert space.decode([0.0, 0.5])["x"] == pytest.approx(1.0)
 
     def test_huge_integer_budget_accepted(self):
         space = SearchSpace.from_json({
@@ -718,7 +763,9 @@ class TestRecurrentSearchPinned:
             "b6e78e671cb621d878fc4551a131697f"
             "2c651f899733d4531544576da9645be2",
             prescott="5378e2fa383f54dd9df7c2a11432d8dd"
-                     "c46401752af1e1d59878204cbabb0a80")
+                     "c46401752af1e1d59878204cbabb0a80",
+            haswell="5af0e7e8ccc2989b030fb6ea930956d5"
+                    "7185f56c25b4ce44679f7c179ba24d32")
 
 
 def reference_featurize(net, stream, seed):
@@ -858,3 +905,133 @@ class TestDistinctRowsMatchesReference:
             self.assert_same(columns)
         _, group = search._distinct_rows([floats])
         assert len(set(group[floats == 0].tolist())) == 1
+
+
+def mixed_space():
+    """A category first, an int with negative ``low`` and one with float
+    bounds: ``h <= 0``, ``w == 0`` and "bogus" fail to build."""
+    return SearchSpace(
+        dimensions=(Dimension("act", "cat", values=("tanh", "relu", "bogus")),
+                    Dimension("h", "int", -2, 5),
+                    Dimension("w", "int", 0.5, 3.9)),
+        template={"name": "m", "layers": [
+            {"type": "dense", "n_n": "$h", "n_i": "$w",
+             "activation": "$act"}]},
+        metric="bop",
+    )
+
+
+def huge_space():
+    """Totals from 80 to above 2**110, so some do not fit int64."""
+    return SearchSpace(
+        dimensions=(Dimension("h", "cat", values=(1, 2 ** 40, 2 ** 52)),
+                    Dimension("w", "cat", values=(1, 0, 2 ** 52))),
+        template={"name": "b", "layers": [
+            {"type": "dense", "n_n": "$h", "n_i": "$w"}]},
+        metric="bop",
+    )
+
+
+def reference_screen(space, pool, budget=None):
+    """The pool screen through ``_distinct_rows``: each distinct decoded
+    architecture of the pool looked up once, in lexicographic order."""
+    columns = space._columns(np.asarray(pool, dtype=float))
+    first, group = search._distinct_rows(columns)
+    keys = zip(*(column[first].tolist() for column in columns))
+    limit = space.budget if budget is None else budget
+    metric = search._METRICS.index(space.metric)
+    return np.array([t is not None and (limit is None or t[metric] <= limit)
+                     for t in map(space._totals, keys)], dtype=bool)[group]
+
+
+class TestIndexTableMatchesDistinctRows:
+    """``screen`` on all-int/cat spaces against ``reference_screen`` on an
+    identical space: the same verdicts, the same memo contents in the same
+    insertion order, and the same order of the ``_totals`` calls that cost
+    a new architecture."""
+
+    BUDGETS = (None, 0, 1, 80, 500.5, 4095.999, -1, -2.5, 2 ** 63 - 1,
+               2 ** 63, 2 ** 64 + 3, 10 ** 40, float(2 ** 70), 1e300)
+
+    @staticmethod
+    def run(make, budgets, monkeypatch):
+        calls = []
+        totals = SearchSpace._totals
+
+        def recorded(self, key):
+            calls.append((id(self), key, key in self._costs))
+            return totals(self, key)
+
+        monkeypatch.setattr(SearchSpace, "_totals", recorded)
+        space, reference = make(), make()
+        rng = np.random.default_rng(41)
+        rows = rng.uniform(-0.3, 1.3, size=(2048, space.n_dims))
+        pools = [rows[:3], rows[rng.integers(0, 2048, size=50)], rows[:0],
+                 rows, rows[1500:]]
+        for pool in pools:
+            for budget in budgets:
+                got = space.screen(pool, budget=budget)
+                assert got.dtype == bool and got.shape == (len(pool),)
+                assert got.tolist() == reference_screen(
+                    reference, pool, budget=budget).tolist()
+        assert list(space._costs.items()) == list(reference._costs.items())
+
+        def first_lookups(owner):
+            return [key for who, key, memoized in calls
+                    if who == id(owner) and not memoized]
+
+        assert first_lookups(space) == first_lookups(reference)
+        # the memo keeps the first _COST_MEMO_LIMIT of them, in that order
+        assert first_lookups(space)[:len(space._costs)] == list(space._costs)
+        return space
+
+    @pytest.mark.parametrize("make", [dense_space, conv_space, mixed_space],
+                             ids=["int-int", "int-int-cat", "cat-int-int"])
+    def test_pools(self, make, monkeypatch):
+        space = self.run(make, self.BUDGETS, monkeypatch)
+        if make is not dense_space:  # some architectures fail to build
+            assert None in space._costs.values()
+
+    def test_space_budget_applies(self, monkeypatch):
+        def make():
+            return dataclasses.replace(mixed_space(), budget=700.5)
+
+        self.run(make, (None, 10 ** 30), monkeypatch)
+
+    def test_totals_beyond_int64(self, monkeypatch):
+        keys = [(h, w) for h in range(3) for w in range(3)]
+        exact = sorted(t[1] for t in map(huge_space()._totals, keys) if t)
+        assert exact[0] < 2 ** 63 <= exact[-1]
+        budgets = [b + d for b in exact for d in (-1, 0, 1)]
+        budgets += [float(b) for b in exact] + [None, 2 ** 63 - 1, 0.5]
+        self.run(huge_space, budgets, monkeypatch)
+
+    @pytest.mark.parametrize("cap", [64, 63], ids=["at-cap", "over-cap"])
+    def test_cap(self, cap, monkeypatch):
+        monkeypatch.setattr(search, "_COST_MEMO_LIMIT", cap)
+        self.run(dense_space, self.BUDGETS, monkeypatch)  # 64 architectures
+
+
+class TestLookupsPerSpace:
+    @pytest.mark.parametrize("make, cap, per_pool", [
+        (dense_space, 64, False), (mixed_space, 96, False),
+        (dense_space, 63, True), (esn_space, 1 << 14, True)],
+        ids=["at-cap", "cat-int-int", "over-cap", "float"])
+    def test_repeat_pool(self, make, cap, per_pool, monkeypatch):
+        """A space with an index table looks each architecture up once for
+        its lifetime; any other space once per pool."""
+        monkeypatch.setattr(search, "_COST_MEMO_LIMIT", cap)
+        space = make()
+        pool = np.random.default_rng(44).uniform(size=(300, space.n_dims))
+        looked_up = []
+        totals = SearchSpace._totals
+
+        def counted(self, key):
+            looked_up.append(key)
+            return totals(self, key)
+
+        monkeypatch.setattr(SearchSpace, "_totals", counted)
+        first = space.screen(pool, budget=500)
+        n_first = len(looked_up)
+        assert space.screen(pool, budget=500).tolist() == first.tolist()
+        assert len(looked_up) == n_first * (1 + per_pool)
