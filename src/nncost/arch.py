@@ -1,4 +1,5 @@
-"""Architecture data model: layer descriptors, document parsing, validation.
+"""Architecture data model: layer descriptors, document parsing and template
+compilation, validation.
 
 Layer descriptors are immutable and validated on construction. A network is
 an ordered chain of layers whose widths must agree: a dense layer emits
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
+from operator import itemgetter
 from typing import Callable
 
 from .errors import DomainError, SchemaError, SpecSyntaxError
@@ -398,36 +400,209 @@ def validate_network(net: NetworkSpec) -> list[Violation]:
     return violations
 
 
-def _parse_layer(obj, path: str) -> LayerSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "layer must be an object")
-    if "type" not in obj:
-        raise SchemaError(f"{path}.type", "missing field")
-    tag = obj["type"]
-    cls = _TYPE_TAGS.get(tag)
-    if cls is None:
-        raise SchemaError(f"{path}.type",
-                          f"unknown layer type {tag!r}; expected one of "
-                          f"{sorted(_TYPE_TAGS)}")
-    declared = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in obj.items():
-        if key == "type":
-            continue
-        if key not in declared:
-            raise SchemaError(f"{path}.{key}", "unknown field")
-        kwargs[key] = value
-    for f in fields(cls):  # fields without a default are required
-        if f.default is MISSING and f.name not in kwargs:
-            raise SchemaError(f"{path}.{f.name}", "missing field")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        # Construction names the offending field first, e.g. "s_p must be...".
-        field_name = str(exc).split(" ", 1)[0]
-        suffix = field_name if field_name in declared else ""
-        where = f"{path}.{suffix}" if suffix else path
-        raise SchemaError(where, str(exc)) from exc
+def _unknown_type(tag) -> str:
+    return (f"unknown layer type {tag!r}; expected one of "
+            f"{sorted(_TYPE_TAGS)}")
+
+
+def _fail(path: str, message: str) -> Callable:
+    """Build function that raises a fresh SchemaError on every call."""
+    def build(values):
+        raise SchemaError(path, message)
+    return build
+
+
+def _late(compile_node, get, *args) -> Callable:
+    """Build function of a node that is itself a reference: its value is
+    compiled when built, and every string in a value is literal."""
+    return lambda values: compile_node(_Compiler(), get(values), *args)(())
+
+
+# Each spec class's field annotations by name, and its required fields
+# (those without a default) in declaration order.
+_FIELD_TYPES = {cls: {f.name: f.type for f in fields(cls)} for cls in KINDS}
+_REQUIRED = {cls: tuple(f.name for f in fields(cls) if f.default is MISSING)
+             for cls in KINDS}
+# What a spec field takes, by annotation, where no float is valid.
+_TAKES = {"int": "an integer", "str": "a string"}
+
+
+class _Compiler:
+    """Compiles the nodes of a document into build functions of the tuple
+    of reference values. Each node runs the checks ``parse_document``
+    documents, in its order: checks that no reference can change are
+    decided here, and one that fails becomes a build function raising its
+    error, so a faulty template still compiles."""
+
+    def __init__(self, names=()):
+        self.refs = {f"${name}": i for i, name in enumerate(names)}
+        self.typed = []
+
+    def reference(self, node):
+        """Getter of the value of a node that is a reference, else None."""
+        if isinstance(node, str) and node in self.refs:
+            return itemgetter(self.refs[node])
+        return None
+
+    def resolver(self, node):
+        """Function of the values returning ``node`` with every reference
+        in it replaced by its value; None for a node without references."""
+        if not self.refs:
+            return None
+        if isinstance(node, dict):
+            parts = {key: self.resolver(value) for key, value in node.items()}
+            if any(parts.values()):
+                return lambda values: {
+                    key: value if parts[key] is None else parts[key](values)
+                    for key, value in node.items()}
+        elif isinstance(node, list):
+            parts = [self.resolver(value) for value in node]
+            if any(parts):
+                return lambda values: [
+                    value if part is None else part(values)
+                    for value, part in zip(node, parts)]
+        return self.reference(node)
+
+    def document(self, doc) -> Callable:
+        get = self.reference(doc)
+        if get is not None:
+            return _late(_Compiler.document, get)
+        if not isinstance(doc, dict):
+            return _fail("$", "top level must be an object")
+        for key in doc:
+            if key not in ("name", "layers"):
+                return _fail(f"$.{key}", "unknown field")
+        if "name" not in doc:
+            return _fail("$.name", "missing field")
+        name = self.name(doc["name"])
+        layers = (self.layers(doc["layers"]) if "layers" in doc
+                  else _fail("$.layers", "missing field"))
+        return lambda values: NetworkSpec(name(values), layers(values))
+
+    def name(self, node) -> Callable:
+        get = self.reference(node)
+        if get is not None:
+            self.typed.append((".name", node[1:], "a string"))
+            return _late(_Compiler.name, get)
+        if not isinstance(node, str):
+            return _fail("$.name", "must be a string")
+        return lambda values: node
+
+    def layers(self, node) -> Callable:
+        get = self.reference(node)
+        if get is not None:
+            return _late(_Compiler.layers, get)
+        if not isinstance(node, list) or not node:
+            return _fail("$.layers", "must be a nonempty array")
+        steps = [self.layer(item, f"layers[{i}]")
+                 for i, item in enumerate(node)]
+        return lambda values: [step(values) for step in steps]
+
+    def layer(self, node, path: str) -> Callable:
+        get = self.reference(node)
+        if get is not None:
+            return _late(_Compiler.layer, get, path)
+        if not isinstance(node, dict):
+            return _fail(path, "layer must be an object")
+        if "type" not in node:
+            return _fail(f"{path}.type", "missing field")
+        tag = node["type"]
+        resolve = self.resolver(tag)
+        if resolve is None:
+            cls = _TYPE_TAGS.get(tag) if isinstance(tag, str) else None
+            if cls is None:
+                return _fail(f"{path}.type", _unknown_type(tag))
+            self.type_fields(node, path, (cls,))
+            return self.spec(node, path, cls)
+        if self.reference(tag) is not None:
+            self.typed.append((f".{path}.type", tag[1:], "a string"))
+        self.type_fields(node, path, KINDS)
+        by_tag = {t: self.spec(node, path, cls)
+                  for t, cls in _TYPE_TAGS.items()}
+
+        def build(values):
+            value = resolve(values)
+            step = by_tag.get(value) if isinstance(value, str) else None
+            if step is None:
+                raise SchemaError(f"{path}.type", _unknown_type(value))
+            return step(values)
+        return build
+
+    def type_fields(self, node, path: str, classes):
+        """Record each reference fed straight into a field that every one
+        of ``classes`` declaring it types as an integer, or as a string."""
+        for key, value in node.items():
+            if self.reference(value) is None:
+                continue
+            takes = {_TAKES.get(_FIELD_TYPES[cls][key]) for cls in classes
+                     if key in _FIELD_TYPES[cls]}
+            if len(takes) == 1 and None not in takes:
+                self.typed.append((f".{path}.{key}", value[1:], takes.pop()))
+
+    def spec(self, node, path: str, cls) -> Callable:
+        """Build function of a layer node as a ``cls`` spec."""
+        declared = _FIELD_TYPES[cls]
+        fixed, fed = {}, []
+        for key, value in node.items():
+            if key == "type":
+                continue
+            if key not in declared:
+                return _fail(f"{path}.{key}", "unknown field")
+            resolve = self.resolver(value)
+            if resolve is None:
+                fixed[key] = value
+            else:
+                fed.append((key, resolve))
+        for name in _REQUIRED[cls]:
+            if name not in node:
+                return _fail(f"{path}.{name}", "missing field")
+
+        def build(values):
+            kwargs = fixed.copy()
+            for key, resolve in fed:
+                kwargs[key] = resolve(values)
+            try:
+                return cls(**kwargs)
+            except ValueError as exc:
+                # Construction names the offending field first, e.g.
+                # "s_p must be...".
+                field_name = str(exc).split(" ", 1)[0]
+                where = (f"{path}.{field_name}" if field_name in declared
+                         else path)
+                raise SchemaError(where, str(exc)) from exc
+        return build
+
+
+@dataclass(frozen=True)
+class Template:
+    """An architecture document compiled once for repeated construction.
+
+    In a template, each string ``"$name"`` for a name in the compiled
+    ``names`` is a reference, wherever it stands as a value (keys are never
+    references). ``build(values)`` returns what ``parse_document`` returns
+    for the document with each reference replaced by ``values[i]``, where
+    ``names[i]`` is its name, and otherwise raises the same SchemaError,
+    with the same path and message. A reference value is used as it is:
+    strings in it are literal. The spec class of each layer, its fixed
+    field values and which value feeds which field are worked out once.
+
+    ``typed`` lists, name first and then layer by layer, each reference
+    that feeds a place taking only an integer (a count field) or only a
+    string (``name``, ``type``, ``activation``) as ``(path, name, what)``:
+    the path from the template's root, e.g. ``.layers[0].n_n``, and what
+    is "an integer" or "a string".
+    """
+
+    build: Callable
+    typed: tuple
+
+
+def compile_template(doc, names=()) -> Template:
+    """Compile ``doc`` with references ``"$name"`` for each of ``names``;
+    see Template. A fault of the document is raised when it is built."""
+    compiler = _Compiler(names)
+    build = compiler.document(doc)
+    return Template(build, tuple(compiler.typed))
 
 
 def parse_spec(text: str) -> NetworkSpec:
@@ -449,24 +624,15 @@ def parse_document(doc) -> NetworkSpec:
     """Parse an already decoded architecture document (see parse_spec).
 
     Raises SchemaError, with the path of the offending field, exactly where
-    parse_spec would for the JSON text of ``doc``.
+    parse_spec would for the JSON text of ``doc``. The checks run in this
+    order, and the first that fails is raised: the top level is an object
+    with no field but ``name`` and ``layers``, ``name`` is present and a
+    string, ``layers`` is present and a nonempty array, then each layer in
+    turn is an object with a known ``type``, no undeclared field, every
+    required field, and valid field values. This is the compiled template
+    with no references (``compile_template``), built once.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "top level must be an object")
-    for key in doc:
-        if key not in ("name", "layers"):
-            raise SchemaError(f"$.{key}", "unknown field")
-    if "name" not in doc:
-        raise SchemaError("$.name", "missing field")
-    if not isinstance(doc["name"], str):
-        raise SchemaError("$.name", "must be a string")
-    if "layers" not in doc:
-        raise SchemaError("$.layers", "missing field")
-    if not isinstance(doc["layers"], list) or not doc["layers"]:
-        raise SchemaError("$.layers", "must be a nonempty array")
-    layers = [_parse_layer(item, f"layers[{i}]")
-              for i, item in enumerate(doc["layers"])]
-    return NetworkSpec(name=doc["name"], layers=tuple(layers))
+    return compile_template(doc).build(())
 
 
 def serialize(net: NetworkSpec) -> str:

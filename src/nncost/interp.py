@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import arch, costmodel, quant
 from .arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
@@ -591,11 +590,18 @@ def run_stream(spec, weights, stream) -> tuple[np.ndarray, np.ndarray]:
         return outputs, outputs if trace is None else np.stack(trace)
     nominal = kind.input_shape(spec)
     span = math.prod(nominal[:-1])
-    padded = np.vstack([np.zeros((span - 1, stream.shape[1])), stream])
-    samples = sliding_window_view(padded, span, axis=0).transpose(0, 2, 1)
+    n, width = stream.shape
+    padded = np.zeros((span - 1 + n, width))
+    padded[span - 1:] = stream
+    padded.flags.writeable = False
+    # Window t is rows t .. t + span - 1 of the padded stream: a read-only
+    # view whose first two axes both step one row.
+    row, column = padded.strides
+    samples = np.ndarray((n, span, width), buffer=padded,
+                         strides=(row, row, column))
     outputs, _, _ = run_layer(spec, weights, samples.reshape(
-        samples.shape[:1] + nominal[:-1] + samples.shape[2:]))
-    outputs = outputs.reshape(stream.shape[0], -1)
+        (n,) + nominal[:-1] + (width,)))
+    outputs = outputs.reshape(n, -1)
     return outputs, outputs
 
 

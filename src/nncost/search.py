@@ -91,6 +91,9 @@ class Dimension:
             if self.kind == "int" and max(-self.low, self.high) >= 2 ** 53:
                 # the decoder works in int64 on float products
                 raise ValueError("int dimension needs |low|, |high| < 2**53")
+            if self.kind == "int" and not (float(self.low).is_integer()
+                                           and float(self.high).is_integer()):
+                raise ValueError("int dimension needs integer low and high")
             if self.log and self.low <= 0:
                 raise ValueError("log scaling needs positive low")
             if self.kind == "float" and not _float_range(self.low, self.high,
@@ -216,16 +219,6 @@ def _references(node, path: str):
             yield from _references(value, f"{path}[{i}]")
 
 
-def _substitute(node, params: dict):
-    if isinstance(node, str) and node.startswith("$"):
-        return params[node[1:]]
-    if isinstance(node, dict):
-        return {k: _substitute(v, params) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_substitute(v, params) for v in node]
-    return node
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """Dimensions plus a network template and an optional complexity budget.
@@ -245,6 +238,15 @@ class SearchSpace:
     ``screen``. Dimension names must be distinct, and every ``"$name"`` in
     the template must name a dimension; SchemaError names the path.
 
+    The template is compiled once, when the space is made
+    (``arch.compile_template``), and every architecture is built from it:
+    the same spec, or the same SchemaError, as ``parse_document`` of the
+    template with each ``"$name"`` replaced by its decoded value. A
+    ``float`` dimension fed straight into a place that takes only an
+    integer (a count field) or only a string (``name``, ``type``,
+    ``activation``) is a SchemaError at its template path, checked after
+    the names; other faults of the template make candidates infeasible.
+
     Cost totals are computed once per distinct decoded architecture and
     kept for the life of the space. Budgets apply when the totals are
     looked up, so every BO round, every budget of a sweep and every seed
@@ -263,6 +265,7 @@ class SearchSpace:
     # that failed to build or cost.
     _costs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _template: arch.Template = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
@@ -280,6 +283,14 @@ class SearchSpace:
         for path, name in _references(self.template, "template"):
             if name not in names:
                 raise SchemaError(path, f"unknown dimension {name!r}")
+        template = arch.compile_template(self.template, names)
+        kinds = {dim.name: dim.kind for dim in self.dimensions}
+        for path, name, what in template.typed:
+            if kinds[name] == "float":
+                raise SchemaError(f"template{path}",
+                                  f"float dimension {name!r} feeds a place "
+                                  f"that takes {what}")
+        object.__setattr__(self, "_template", template)
 
     @property
     def n_dims(self) -> int:
@@ -322,8 +333,8 @@ class SearchSpace:
         return {dim.name: dim._value(c) for dim, c in zip(self.dimensions, key)}
 
     def _network(self, key: tuple) -> NetworkSpec:
-        return arch.parse_document(_substitute(self.template,
-                                               self._params(key)))
+        return self._template.build(tuple(map(Dimension._value,
+                                              self.dimensions, key)))
 
     def _totals(self, key: tuple) -> tuple | None:
         """(rm, bop, nabs) of the architecture at ``key``; None if invalid."""
@@ -584,11 +595,20 @@ def _fold_pairs(n: int, k: int, seed: int) -> tuple:
     return pairs
 
 
-def _ridge_fit(Fb: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+def _ridge_fit(Fb: np.ndarray, y: np.ndarray,
+               penalty: np.ndarray) -> np.ndarray:
     """Readout weights for the design matrix ``Fb`` (features plus a final
-    column of ones)."""
-    gram = Fb.T @ Fb + ridge * np.eye(Fb.shape[1])
+    column of ones) under the ridge term ``penalty`` (ridge times I)."""
+    gram = Fb.T @ Fb + penalty
     return np.linalg.solve(gram, Fb.T @ y)
+
+
+def _mean(values) -> float:
+    """``np.mean`` of a 1-D float sequence, computed as it computes it (one
+    pairwise ``np.add.reduce``, divided by the count) without its
+    per-call dispatch."""
+    values = np.asarray(values, dtype=float)
+    return float(np.add.reduce(values) / values.size)
 
 
 def kfold_score(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,
@@ -602,13 +622,15 @@ def kfold_score(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,
     is kept, since every candidate of a search is scored on the same one.
     """
     features = featurize(net, task.inputs, seed)
-    design = np.hstack([features, np.ones((features.shape[0], 1))])
+    design = np.concatenate((features, np.ones((features.shape[0], 1))),
+                            axis=1)
+    penalty = ridge * np.eye(design.shape[1])
     mses = []
     for train, test in _fold_pairs(task.targets.size, k, seed):
-        beta = _ridge_fit(design[train], task.targets[train], ridge)
+        beta = _ridge_fit(design[train], task.targets[train], penalty)
         pred = design[test] @ beta
-        mses.append(float(np.mean((pred - task.targets[test]) ** 2)))
-    return -float(np.mean(mses))
+        mses.append(_mean((pred - task.targets[test]) ** 2))
+    return -_mean(mses)
 
 
 def evaluate_arch(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,

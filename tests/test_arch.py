@@ -1,5 +1,6 @@
 """Parsing, validation and convolution-geometry tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -153,6 +154,131 @@ class TestParse:
                 arch.parse_document(doc)
             assert from_doc.value.path == from_text.value.path
             assert str(from_doc.value) == str(from_text.value)
+
+    def test_matches_reference_parser(self):
+        """The same spec, or the same error at the same path with the same
+        message, as the parser before documents were compiled."""
+        def outcome(parse, doc):
+            try:
+                net = parse(doc)
+            except SchemaError as exc:
+                return exc.path, str(exc)
+            return net, repr(net)
+
+        outcomes = []
+        for doc in mutated_documents(np.random.default_rng(5), 3000):
+            got = outcome(arch.parse_document, doc)
+            assert got == outcome(reference_parse_document, doc), doc
+            outcomes.append(got[0])
+        assert 100 < sum(isinstance(o, NetworkSpec) for o in outcomes) < 2900
+        assert len(set(o for o in outcomes if isinstance(o, str))) > 30
+
+    @pytest.mark.parametrize("tag", [["dense"], {"a": 1}, []])
+    def test_unhashable_type(self, tag):
+        """An array or object type is an unknown layer type, not a crash."""
+        doc = {"name": "m", "layers": [{"type": tag, "n_n": 1, "n_i": 1}]}
+        with pytest.raises(SchemaError) as err:
+            parse_spec(json.dumps(doc))
+        assert err.value.path == "layers[0].type"
+        assert str(err.value).startswith(
+            f"layers[0].type: unknown layer type {tag!r}; expected one of ")
+
+
+def reference_parse_layer(obj, path):
+    """The layer parser as it was before documents were compiled."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "layer must be an object")
+    if "type" not in obj:
+        raise SchemaError(f"{path}.type", "missing field")
+    tag = obj["type"]
+    cls = arch._TYPE_TAGS.get(tag)
+    if cls is None:
+        raise SchemaError(f"{path}.type",
+                          f"unknown layer type {tag!r}; expected one of "
+                          f"{sorted(arch._TYPE_TAGS)}")
+    declared = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in obj.items():
+        if key == "type":
+            continue
+        if key not in declared:
+            raise SchemaError(f"{path}.{key}", "unknown field")
+        kwargs[key] = value
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING and f.name not in kwargs:
+            raise SchemaError(f"{path}.{f.name}", "missing field")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        field_name = str(exc).split(" ", 1)[0]
+        suffix = field_name if field_name in declared else ""
+        where = f"{path}.{suffix}" if suffix else path
+        raise SchemaError(where, str(exc)) from exc
+
+
+def reference_parse_document(doc):
+    """``parse_document`` as it was before documents were compiled."""
+    if not isinstance(doc, dict):
+        raise SchemaError("$", "top level must be an object")
+    for key in doc:
+        if key not in ("name", "layers"):
+            raise SchemaError(f"$.{key}", "unknown field")
+    if "name" not in doc:
+        raise SchemaError("$.name", "missing field")
+    if not isinstance(doc["name"], str):
+        raise SchemaError("$.name", "must be a string")
+    if "layers" not in doc:
+        raise SchemaError("$.layers", "missing field")
+    if not isinstance(doc["layers"], list) or not doc["layers"]:
+        raise SchemaError("$.layers", "must be a nonempty array")
+    layers = [reference_parse_layer(item, f"layers[{i}]")
+              for i, item in enumerate(doc["layers"])]
+    return NetworkSpec(name=doc["name"], layers=tuple(layers))
+
+
+def mutated_documents(rng, count):
+    """Documents a few random edits away from valid ones: fields dropped,
+    added, retyped or set out of range, at the top level and per layer."""
+    valid = [
+        {"type": "dense", "n_n": 3, "n_i": 2, "activation": "relu"},
+        {"type": "conv1d", "n_f": 2, "n_i": 2, "n_k": 3, "n_s": 6,
+         "padding": 1, "dilation": 2, "stride": 1},
+        {"type": "rnn", "n_i": 2, "n_h": 3, "n_s": 4},
+        {"type": "lstm", "n_i": 2, "n_h": 3, "n_s": 4, "activation": "tanh"},
+        {"type": "gru", "n_i": 2, "n_h": 3, "n_s": 4},
+        {"type": "esn", "n_i": 2, "N_r": 6, "s_p": 0.5, "n_o": 1, "n_s": 4,
+         "leak": 0.7},
+    ]
+    values = [0, 1, -1, 2, 1.5, 0.5, 1.0, True, None, "x", "relu", "gelu",
+              "dense", "esn", [], [1], {}, {"a": 1}, 2.0, 10 ** 30]
+    keys = ["n_n", "n_i", "n_f", "n_k", "n_s", "n_h", "N_r", "s_p", "n_o",
+            "leak", "padding", "dilation", "stride", "activation", "type",
+            "bogus"]
+    for _ in range(count):
+        layers = [dict(valid[i]) for i in rng.integers(0, 6, rng.integers(1, 4))]
+        doc = {"name": "m", "layers": list(layers)}
+        for _ in range(rng.integers(0, 4)):
+            where = rng.integers(0, 10)
+            if where == 0:  # top level
+                key = ["name", "layers", "extra"][rng.integers(0, 3)]
+                if rng.integers(0, 2):
+                    doc.pop(key, None)
+                else:
+                    doc[key] = values[rng.integers(0, len(values))]
+            elif where == 1 and isinstance(doc.get("layers"), list):
+                doc["layers"].insert(rng.integers(0, 3),
+                                     values[rng.integers(0, len(values))])
+            else:
+                layer = layers[rng.integers(0, len(layers))]
+                key = keys[rng.integers(0, len(keys))]
+                if rng.integers(0, 3) == 0:
+                    layer.pop(key, None)
+                else:
+                    value = values[rng.integers(0, len(values))]
+                    if key == "type" and isinstance(value, (list, dict)):
+                        continue  # unhashable: see test_unhashable_type
+                    layer[key] = value
+        yield doc
 
 
 def random_network(rng) -> NetworkSpec:

@@ -317,6 +317,32 @@ class TestInputErrors:
             "error: dimensions[1]: float dimension needs low, high and "
             "high - low (high / low with log) within the float range\n")
 
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_float_dimension_feeding_count_exit_2(self, command, space_file,
+                                                  task_file, tmp_path,
+                                                  capsys):
+        doc = json.loads(open(space_file).read())
+        doc["dimensions"][0] = {"name": "res", "kind": "float", "low": 2,
+                                "high": 16}
+        space = tmp_path / "bad_space.json"
+        space.write_text(json.dumps(doc))
+        assert main(_argv(command, space, task_file)) == 2
+        assert capsys.readouterr().err == (
+            "error: template.layers[0].N_r: float dimension 'res' feeds a "
+            "place that takes an integer\n")
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_fractional_int_bound_exit_2(self, command, space_file,
+                                         task_file, tmp_path, capsys):
+        doc = json.loads(open(space_file).read())
+        doc["dimensions"][0]["low"] = 2.5
+        space = tmp_path / "bad_space.json"
+        space.write_text(json.dumps(doc))
+        assert main(_argv(command, space, task_file)) == 2
+        assert capsys.readouterr().err == (
+            "error: dimensions[0]: int dimension needs integer low and "
+            "high\n")
+
     def test_template_not_object_exit_2(self, space_file, task_file,
                                         tmp_path, capsys):
         doc = {**json.loads(open(space_file).read()), "template": []}

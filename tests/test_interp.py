@@ -2,9 +2,11 @@
 
 import copy
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nncost import arch, interp, quant
 from nncost.arch import (BitwidthConfig, Conv1D, Dense, EchoState, GRU, LSTM,
@@ -619,6 +621,46 @@ class TestBatchedFeedforward:
         np.testing.assert_array_equal(
             maps, np.stack([run_layer(spec, w, x)[0] for x in X]))
         assert c.mults == 9 * rm_layer(spec)
+
+
+def reference_run_stream(spec, weights, stream):
+    """``run_stream`` of a feedforward layer as it first built its causal
+    windows, with ``vstack`` and ``sliding_window_view``."""
+    stream = np.asarray(stream, dtype=float)
+    nominal = arch.layer_kind(spec).input_shape(spec)
+    span = math.prod(nominal[:-1])
+    padded = np.vstack([np.zeros((span - 1, stream.shape[1])), stream])
+    samples = sliding_window_view(padded, span, axis=0).transpose(0, 2, 1)
+    outputs, _, _ = run_layer(spec, weights, samples.reshape(
+        samples.shape[:1] + nominal[:-1] + samples.shape[2:]))
+    return outputs.reshape(stream.shape[0], -1)
+
+
+class TestRunStreamMatchesReference:
+    @pytest.mark.parametrize("spec", [
+        Dense(5, 3), Dense(1, 1, activation="relu"),
+        Conv1D(n_f=2, n_i=3, n_k=3, n_s=5, padding=1, dilation=2, stride=2,
+               activation="relu"),
+        Conv1D(n_f=1, n_i=3, n_k=2, n_s=4, activation="linear"),
+        Conv1D(n_f=3, n_i=3, n_k=4, n_s=9, padding=2, dilation=3,
+               stride=3),
+    ], ids=["dense", "dense-1x1", "conv1d-padded", "conv1d-nf1",
+            "conv1d-wide"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 200])
+    def test_bitwise_equal(self, spec, n):
+        """Streams shorter than, as long as and longer than the window,
+        contiguous or not; the stream itself is left as it was."""
+        rng = np.random.default_rng(n)
+        w = random_weights(spec, rng)
+        wide = rng.normal(size=(n, 2 * spec.n_i))
+        for stream in (np.ascontiguousarray(wide[:, ::2]), wide[:, 1::2]):
+            before = stream.copy()
+            outputs, states = interp.run_stream(spec, w, stream)
+            want = reference_run_stream(spec, w, stream)
+            assert states is outputs and outputs.shape == want.shape
+            np.testing.assert_array_equal(outputs.view(np.uint64),
+                                          want.view(np.uint64))
+            np.testing.assert_array_equal(stream, before)
 
 
 class TestLayerKindTable:

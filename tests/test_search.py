@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 
@@ -81,9 +82,22 @@ def reference_coordinate(dim, u):
     return float(dim.low + u * (dim.high - dim.low))
 
 
+def reference_substitute(node, params):
+    """The template with each ``"$name"`` replaced by ``params[name]``: how
+    a search space built its JSON documents before it compiled its
+    template."""
+    if isinstance(node, str) and node.startswith("$"):
+        return params[node[1:]]
+    if isinstance(node, dict):
+        return {k: reference_substitute(v, params) for k, v in node.items()}
+    if isinstance(node, list):
+        return [reference_substitute(v, params) for v in node]
+    return node
+
+
 def fresh_totals(space, theta):
     """Reference: cost one candidate through the JSON document, no memo."""
-    doc = search._substitute(space.template, space.decode(theta))
+    doc = reference_substitute(space.template, space.decode(theta))
     try:
         report = costmodel.cost_report(arch.parse_spec(json.dumps(doc)),
                                        space.bits, space.scheme)
@@ -530,7 +544,7 @@ class TestPoolScreen:
 
     def test_decoder_matches_reference_formulas(self):
         dims = (Dimension("a", "int", 1, 8), Dimension("b", "int", -3, 3),
-                Dimension("c", "int", 0.5, 7.9), Dimension("d", "int", 4, 4),
+                Dimension("c", "int", 0, 7), Dimension("d", "int", 4, 4),
                 Dimension("e", "cat", values=("x", "y", "z")),
                 Dimension("f", "cat", values=([1], )),
                 Dimension("g", "float", 0.2, 1.0),
@@ -679,11 +693,117 @@ class TestSpaceSchema:
                           "high": 1e308}]}, "dimensions[0]"),
         ({"dimensions": [{"name": "res", "kind": "float", "low": 1e-200,
                           "high": 1e200, "log": True}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": 0.5,
+                          "high": 8}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": 2,
+                          "high": 7.9}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": -3.5,
+                          "high": -0.5}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "float", "low": 2,
+                          "high": 8}]}, "template.layers[0].N_r"),
     ])
     def test_bad_field_names_path(self, extra, path):
         with pytest.raises(SchemaError) as err:
             SearchSpace.from_json({**self.BASE, **extra})
         assert err.value.path == path
+
+    def test_fractional_int_bound_message(self):
+        for low, high in ((0.5, 7.9), (-3.5, -0.5), (0, 7.5)):
+            with pytest.raises(ValueError) as err:
+                Dimension("c", "int", low, high)
+            assert str(err.value) == "int dimension needs integer low and high"
+
+    def test_integer_valued_float_int_bounds_accepted(self):
+        dim = Dimension("n", "int", 2.0, 5.0)
+        assert {dim.decode(u) for u in np.linspace(0, 1, 200)} == {2, 3, 4, 5}
+        space = SearchSpace.from_json({**self.BASE, "dimensions": [
+            {"name": "res", "kind": "int", "low": 4.0, "high": 4.0}]})
+        assert space.decode([0.3]) == {"res": 4}
+
+    @pytest.mark.parametrize("layer, path, what", [
+        ({"type": "dense", "n_n": "$x", "n_i": 2}, "layers[0].n_n",
+         "an integer"),
+        ({"type": "esn", "n_i": 2, "N_r": 4, "s_p": 0.5, "n_o": 1,
+          "n_s": "$x"}, "layers[0].n_s", "an integer"),
+        ({"type": "$x", "n_n": 2, "n_i": 2}, "layers[0].type", "a string"),
+        ({"type": "dense", "n_n": 2, "n_i": 2, "activation": "$x"},
+         "layers[0].activation", "a string"),
+        ({"type": "$cell", "n_i": 2, "n_h": "$x", "n_s": 3},
+         "layers[0].n_h", "an integer"),
+        ({"type": "$cell", "n_i": "$cell", "n_h": 4, "n_s": "$x"},
+         "layers[0].n_s", "an integer"),
+    ], ids=["dense-count", "esn-count", "type", "activation",
+            "cell-count", "after-cat"])
+    def test_float_dimension_where_integer_or_string_taken(self, layer, path,
+                                                           what):
+        dims = (Dimension("cell", "cat", values=("lstm", "gru")),
+                Dimension("x", "float", 0.5, 3.0))
+        template = {"name": "s", "layers": [
+            {"type": "dense", "n_n": 2, "n_i": 2}, layer]}
+        with pytest.raises(SchemaError) as err:
+            SearchSpace(dims, template)
+        path = path.replace("layers[0]", "layers[1]")
+        assert str(err.value) == (f"template.{path}: float dimension 'x' "
+                                  f"feeds a place that takes {what}")
+        with pytest.raises(SchemaError) as err:
+            SearchSpace(dims, {"name": "$x", "layers": [layer]})
+        assert err.value.path == "template.name"
+
+    def test_float_dimension_check_comes_last(self):
+        float_count = {"name": "h", "kind": "float", "low": 1, "high": 4}
+        doc = {"dimensions": [float_count,
+                              {"name": "w", "kind": "int", "low": 2,
+                               "high": 1.5}],
+               "template": {"name": "s", "layers": [
+                   {"type": "dense", "n_n": "$h", "n_i": "$w"}]}}
+        with pytest.raises(SchemaError) as err:
+            SearchSpace.from_json(doc)
+        assert err.value.path == "dimensions[1]"
+        doc["dimensions"] = [float_count, {**float_count, "low": 0}]
+        with pytest.raises(SchemaError) as err:
+            SearchSpace.from_json(doc)
+        assert err.value.path == "dimensions[1].name"
+        doc["dimensions"] = [float_count, {**float_count, "name": "w",
+                                           "kind": "int"}]
+        doc["template"]["layers"].append({"type": "dense", "n_n": "$v",
+                                          "n_i": "$h"})
+        with pytest.raises(SchemaError) as err:
+            SearchSpace.from_json(doc)
+        assert err.value.path == "template.layers[1].n_n"
+        assert "unknown dimension 'v'" in str(err.value)
+        doc["template"]["layers"][1]["n_n"] = 1
+        with pytest.raises(SchemaError) as err:
+            SearchSpace.from_json({**doc, "scheme": "foo"})
+        assert err.value.path == "scheme"
+        with pytest.raises(SchemaError) as err:
+            SearchSpace.from_json(doc)
+        assert err.value.path == "template.layers[0].n_n"
+
+    @pytest.mark.parametrize("template", [
+        {},
+        {"name": "s", "layers": [{"type": "esn", "n_i": 2, "N_r": 4,
+                                  "s_p": "$x", "n_o": 1, "n_s": 3,
+                                  "leak": "$x"}]},
+        {"name": "s", "layers": [{"type": "$cell", "n_i": 2, "N_r": 4,
+                                  "s_p": 0.5, "n_o": 1, "n_s": 3,
+                                  "leak": "$x"}]},
+        {"name": "s", "layers": [{"type": "dense", "n_n": ["$x"],
+                                  "n_i": 2}]},
+        {"name": "s", "layers": [{"type": "dense", "n_n": 2, "n_i": 2,
+                                  "leak": "$x"}]},
+        {"name": "s", "layers": [{"type": "bogus", "n_n": "$x"}]},
+        {"name": "s", "layers": "$x"},
+        {"name": "s", "layers": ["$x"]},
+        {"name": "s", "x": "$x", "layers": [{"type": "dense", "n_n": "$x",
+                                             "n_i": 2}]},
+    ], ids=["empty", "fractions", "cell-fraction", "nested", "unknown-field",
+            "unknown-type", "layers", "layer", "unknown-top-field"])
+    def test_float_dimension_elsewhere_builds(self, template):
+        """A fraction takes a float; a structural fault of the template
+        stays a per-candidate verdict."""
+        dims = (Dimension("cell", "cat", values=("esn", "gru")),
+                Dimension("x", "float", 0.25, 1.0))
+        SearchSpace(dims, template)
 
     def test_duplicate_name_message(self):
         doc = {**self.BASE, "dimensions": [
@@ -865,6 +985,20 @@ class TestKFoldScoreMatchesReference:
                 with pytest.raises(ValueError):
                     indices[0] = 0
 
+    def test_mean_is_np_mean(self):
+        """The fold and score means against ``np.mean``, bitwise, across
+        the lengths where numpy's pairwise sum changes its blocking."""
+        rng = np.random.default_rng(6)
+        for n in list(range(1, 40)) + [127, 128, 129, 257, 1000, 4099]:
+            for values in (rng.standard_normal(n) ** 2,
+                           rng.uniform(0, 1e-3, n) * 10.0 ** rng.integers(
+                               -20, 20, n)):
+                got = np.float64(search._mean(values))
+                want = np.float64(float(np.mean(values)))
+                assert got.view(np.uint64) == want.view(np.uint64)
+                listed = values.tolist()
+                assert search._mean(listed) == float(np.mean(listed))
+
     def test_bad_fold_count_still_raises(self):
         task = synth_task_fir([1.0], 0.0, 10, seed=0)
         net = NetworkSpec("m", (Dense(2, 2),))
@@ -908,12 +1042,12 @@ class TestDistinctRowsMatchesReference:
 
 
 def mixed_space():
-    """A category first, an int with negative ``low`` and one with float
-    bounds: ``h <= 0``, ``w == 0`` and "bogus" fail to build."""
+    """A category first, an int with negative ``low`` and one from 0:
+    ``h <= 0``, ``w == 0`` and "bogus" fail to build."""
     return SearchSpace(
         dimensions=(Dimension("act", "cat", values=("tanh", "relu", "bogus")),
                     Dimension("h", "int", -2, 5),
-                    Dimension("w", "int", 0.5, 3.9)),
+                    Dimension("w", "int", 0, 3)),
         template={"name": "m", "layers": [
             {"type": "dense", "n_n": "$h", "n_i": "$w",
              "activation": "$act"}]},
@@ -1035,3 +1169,131 @@ class TestLookupsPerSpace:
         n_first = len(looked_up)
         assert space.screen(pool, budget=500).tolist() == first.tolist()
         assert len(looked_up) == n_first * (1 + per_pool)
+
+
+INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "inputs")
+
+
+def input_space(name):
+    with open(os.path.join(INPUTS, name), encoding="utf-8") as handle:
+        return SearchSpace.from_json(json.load(handle))
+
+
+def ref_space(template, *dims):
+    return SearchSpace(dimensions=dims, template=template)
+
+
+H = Dimension("h", "int", -1, 2)
+LAYER = {"type": "dense", "n_n": 2, "n_i": 1}
+# References outside a field value: the name, a whole layer, the type, the
+# layer list, the whole document, and references inside arrays and
+# objects. Strings in a value are literal, so "$h" in one is not a
+# reference.
+ODD_SPACES = {
+    "name": lambda: ref_space(
+        {"name": "$nm", "layers": [{"type": "dense", "n_n": "$h",
+                                    "n_i": 1}]},
+        Dimension("nm", "cat", values=("net", 3, None, ["x"], "$h")), H),
+    "layer": lambda: ref_space(
+        {"name": "s", "layers": ["$L", {"type": "dense", "n_n": "$h",
+                                        "n_i": 2}]},
+        Dimension("L", "cat", values=(
+            LAYER, "dense", [], {"type": "$h", "n_n": 1, "n_i": 1},
+            {**LAYER, "bogus": 1}, {"n_n": 1}, {"type": "dense", "n_i": 1},
+            {"type": ["dense"]}, {**LAYER, "n_n": 0})), H),
+    "type": lambda: ref_space(
+        {"name": "s", "layers": [{"type": "$t", "n_i": 2, "n_h": "$h",
+                                  "n_s": 3, "activation": "$a"}]},
+        Dimension("t", "cat", values=("lstm", "gru", "dense", "nope",
+                                      ["lstm"], 7, "$h", None)),
+        H, Dimension("a", "cat", values=("relu", "gelu"))),
+    "layers": lambda: ref_space(
+        {"name": "s", "layers": "$Ls"},
+        Dimension("Ls", "cat", values=(
+            [LAYER], [], "x", [{"type": "$h"}], [LAYER, LAYER],
+            [LAYER, {**LAYER, "n_i": 2}], {"a": 1}))),
+    "document": lambda: ref_space(
+        "$d",
+        Dimension("d", "cat", values=(
+            {"name": "x", "layers": [LAYER]}, [], {"name": "x"},
+            {"layers": [LAYER]}, {"name": "x", "layers": [LAYER], "y": 1},
+            {"name": 1, "layers": [LAYER]}))),
+    "nested": lambda: ref_space(
+        {"name": {"x": "$h"}, "layers": [LAYER]}, H),
+    "nested-fields": lambda: ref_space(
+        {"name": "s", "layers": [
+            {"type": ["$t"], "n_n": 1, "n_i": 1},
+            {"type": "dense", "n_n": ["$h"], "n_i": {"a": "$h"}}]},
+        Dimension("t", "cat", values=("dense",)), H),
+    "nested-late": lambda: ref_space(
+        {"name": "s", "layers": [LAYER, {"type": "dense", "n_n": ["$h"],
+                                         "n_i": "$h"}]}, H),
+}
+
+
+def every_key(space):
+    """Every decoded architecture of an all-int/cat space."""
+    ranges = [range(len(dim.values)) if dim.kind == "cat"
+              else range(int(dim.low), int(dim.high) + 1)
+              for dim in space.dimensions]
+    return itertools.product(*ranges)
+
+
+def outcome(build):
+    """The spec a build returns, with its repr (1 and 1.0 compare equal),
+    or the type, path and message of the SchemaError it raises."""
+    try:
+        net = build()
+    except SchemaError as exc:
+        return type(exc), exc.path, str(exc)
+    return net, repr(net)
+
+
+class TestTemplateMatchesReference:
+    """The compiled template against ``parse_document`` of the substituted
+    JSON document, for every architecture of a space: the same spec, or the
+    same SchemaError at the same path with the same message."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: input_space("sweep_space.json"),
+        lambda: input_space("recurrent_space.json"),
+        mixed_space, conv_space, huge_space, *ODD_SPACES.values()],
+        ids=["sweep-space", "recurrent-space", "mixed", "conv1d", "huge",
+             *ODD_SPACES])
+    def test_every_key(self, make):
+        space = make()
+        for key in every_key(space):
+            got = outcome(lambda: space._network(key))
+            want = outcome(lambda: arch.parse_document(reference_substitute(
+                space.template, space._params(key))))
+            assert got == want, key
+
+    def test_spaces_cover_both_outcomes(self):
+        """The spaces with faults have keys that build and keys that raise
+        (in the nested spaces every key raises), and the zero-width
+        convolutions of ``conv_space`` are specs, which fail validation."""
+        for make in (mixed_space, conv_space, *ODD_SPACES.values()):
+            space = make()
+            built = [isinstance(outcome(lambda: space._network(key))[0],
+                                NetworkSpec) for key in every_key(space)]
+            assert not all(built)
+            assert any(built) != (make in (ODD_SPACES["nested"],
+                                           ODD_SPACES["nested-fields"],
+                                           ODD_SPACES["nested-late"]))
+        space = conv_space()
+        widths = [space._network((k, 1, 0)).layers[0].output_size
+                  for k in range(1, 9)]
+        assert 0 in widths and widths[0] > 0
+
+    def test_objective_raises_the_reference_error(self):
+        space = mixed_space()
+        task = synth_task_fir([1.0], 0.0, 30, seed=0)
+        objective = search.make_objective(space, task, k=3)
+        theta = [0.9, 0.9, 0.9]  # "bogus" activation
+        assert space._key(theta)[0] == 2 and not space.feasible(theta)
+        with pytest.raises(SchemaError) as err:
+            objective(theta)
+        assert (err.value.path, str(err.value)) == outcome(
+            lambda: arch.parse_document(reference_substitute(
+                space.template, space.decode(theta))))[1:]
