@@ -154,16 +154,12 @@ def gp_fit(trials, params: GPParams | None = None) -> GPModel:
     if not trials:
         raise DomainError("gp_fit needs at least one trial")
     params = params or GPParams()
-    best: dict[bytes, Trial] = {}
-    order: list[bytes] = []
+    best: dict[bytes, Trial] = {}  # replacing a value keeps its position
     for trial in trials:
         key = np.ascontiguousarray(trial.theta).tobytes()
-        if key not in best:
-            order.append(key)
+        if key not in best or trial.score > best[key].score:
             best[key] = trial
-        elif trial.score > best[key].score:
-            best[key] = trial
-    kept = [best[k] for k in order]
+    kept = list(best.values())
     X = np.stack([t.theta for t in kept])
     y = np.array([t.score for t in kept], dtype=float)
     y_mean = float(y.mean())

@@ -74,11 +74,15 @@ class Dimension:
     low: float | None = None
     high: float | None = None
     values: tuple | None = None
-    log: bool = False
+    log: bool = False  # float only: decode the interval on a log scale
 
     def __post_init__(self):
         if self.kind not in ("int", "float", "cat"):
             raise ValueError(f"unknown dimension kind {self.kind!r}")
+        if not isinstance(self.log, bool):
+            raise ValueError(f"log must be true or false, got {self.log!r}")
+        if self.log and self.kind != "float":
+            raise ValueError("log scaling needs a float dimension")
         if self.kind == "cat":
             if not self.values:
                 raise ValueError("categorical dimension needs values")
@@ -131,27 +135,6 @@ class Dimension:
         return self._value(self._coordinates(np.array([float(u)])).item())
 
 
-def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
-    """Index of one row per distinct row of ``columns``, and each row's group.
-
-    One stable lexicographic sort (first column most significant) puts equal
-    rows next to each other; a row that differs from its sorted predecessor
-    in any column starts a new group. ``first`` is each group's first
-    occurrence in the pool, in group order, and ``group`` is each row's
-    lexicographic rank among the distinct rows. Floats compare by value, so
-    -0.0 and +0.0 share a group.
-    """
-    order = np.lexsort(columns[::-1])
-    starts = np.zeros(order.size, dtype=bool)
-    starts[:1] = True
-    for column in columns:
-        ranked = column[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    group = np.empty(order.size, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return order[starts], group
-
-
 @dataclass
 class _CostTable:
     """Validity and constrained-metric total of every architecture of a
@@ -159,8 +142,7 @@ class _CostTable:
     time a screened pool holds an index.
 
     The index of decoded coordinates ``c`` is ``sum_j (c_j - offsets[j]) *
-    prod(radices[j+1:])``: the first dimension is most significant, so
-    ascending index order is the lexicographic order of the keys.
+    prod(radices[j+1:])``: the first dimension is most significant.
     """
 
     offsets: tuple  # each dimension's lowest coordinate
@@ -174,8 +156,7 @@ class _CostTable:
 
     def screen(self, columns, totals, limit) -> np.ndarray:
         """Verdict per row of decoded ``columns`` under ``limit`` (None for
-        no budget). ``totals(key)`` looks up each index not yet known, in
-        ascending order."""
+        no budget). ``totals(key)`` looks up each index not yet known."""
         index = np.zeros(columns[0].shape, dtype=np.int64)
         for column, offset, radix in zip(columns, self.offsets, self.radices):
             index *= radix
@@ -224,16 +205,15 @@ class SearchSpace:
     """Dimensions plus a network template and an optional complexity budget.
 
     ``screen`` decides a whole candidate pool in one pass: it decodes every
-    column at once and looks each distinct decoded architecture (the tuple
-    of integer values, float values and category indices) up once. In a
-    space of only ``int`` and ``cat`` dimensions with at most
-    ``_COST_MEMO_LIMIT`` architectures, each row maps to its mixed-radix
-    index (first dimension most significant, ``value - low`` for an int
-    dimension) into per-space arrays of validity and constrained-metric
-    totals, filled in ascending index order the first time a pool holds an
-    index; other spaces group the rows with one lexicographic sort
-    (``_distinct_rows``). Both look new architectures up in the same
-    order. ``screen`` is the constraint the optimizer calls: an
+    column at once and gives each row the verdict that costing its decoded
+    architecture (the tuple of integer values, float values and category
+    indices) afresh would give. In a space of only ``int`` and ``cat``
+    dimensions with at most ``_COST_MEMO_LIMIT`` architectures, each row
+    maps to its mixed-radix index (first dimension most significant,
+    ``value - low`` for an int dimension) into per-space arrays of validity
+    and constrained-metric totals, filled the first time a pool holds an
+    index; in other spaces each row's totals are looked up through the
+    cost memo. ``screen`` is the constraint the optimizer calls: an
     (m, n_dims) pool in, m booleans out. ``feasible`` is a one-row
     ``screen``. Dimension names must be distinct, and every ``"$name"`` in
     the template must name a dimension; SchemaError names the path.
@@ -368,10 +348,9 @@ class SearchSpace:
         """Per row of an (m, n_dims) pool, whether it decodes to a valid
         network within the budget (``self.budget`` when None), as m booleans.
 
-        Each distinct decoded architecture in the pool is looked up in
-        lexicographic order of its coordinates: once per pool, or, in a
-        space with an index table, once per space. A pool of the wrong
-        shape, or one holding NaN, raises DomainError.
+        Each architecture is costed at most once per space while the cost
+        memo has room. A pool of the wrong shape, or one holding NaN,
+        raises DomainError.
         """
         pool = np.asarray(pool, dtype=float)
         if pool.ndim != 2 or pool.shape[1] != self.n_dims:
@@ -381,11 +360,10 @@ class SearchSpace:
         limit = self.budget if budget is None else budget
         if self._table is not None:
             return self._table.screen(columns, self._totals, limit)
-        first, group = _distinct_rows(columns)
-        keys = zip(*(column[first].tolist() for column in columns))
         index = _METRICS.index(self.metric)
+        keys = zip(*(column.tolist() for column in columns))
         return np.array([t is not None and (limit is None or t[index] <= limit)
-                         for t in map(self._totals, keys)], dtype=bool)[group]
+                         for t in map(self._totals, keys)], dtype=bool)
 
     @staticmethod
     def from_json(doc: dict) -> "SearchSpace":
@@ -418,7 +396,7 @@ class SearchSpace:
                     low=entry.get("low"),
                     high=entry.get("high"),
                     values=tuple(values) if values is not None else None,
-                    log=bool(entry.get("log", False)),
+                    log=entry.get("log", False),
                 ))
             except ValueError as exc:
                 raise SchemaError(path, str(exc)) from exc
@@ -480,12 +458,10 @@ def parse_scheme(text: str, b_w: int) -> quant.QuantScheme:
 
 @dataclass(frozen=True)
 class Task:
-    """Input stream plus targets, regenerable from (params, seed)."""
+    """Input stream plus the targets a readout is fitted to."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    params: dict
-    seed: int
 
 
 def synth_task_fir(taps, noise_std: float, n_samples: int, seed: int) -> Task:
@@ -500,9 +476,7 @@ def synth_task_fir(taps, noise_std: float, n_samples: int, seed: int) -> Task:
     received = fir_filter(taps, symbols)
     if noise_std > 0:
         received = received + noise_std * rng.standard_normal(n_samples)
-    params = {"taps": taps, "noise_std": float(noise_std),
-              "n_samples": int(n_samples), "seed": int(seed)}
-    return Task(inputs=received, targets=symbols, params=params, seed=seed)
+    return Task(inputs=received, targets=symbols)
 
 
 def task_from_json(doc: dict) -> Task:

@@ -206,6 +206,26 @@ class TestSearch:
         assert main(argv) == 2
         assert f"error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("dimension", [
+        {"name": "h", "kind": "float", "low": 0.5, "high": 4.0,
+         "log": "false"},
+        {"name": "h", "kind": "int", "low": 1, "high": 4, "log": True},
+    ], ids=["string", "int"])
+    def test_bad_log_exit_2(self, command, dimension, task_file, tmp_path,
+                            capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({
+            "dimensions": [{"name": "w", "kind": "int", "low": 1,
+                            "high": 4}, dimension],
+            "template": {"name": "s", "layers": [
+                {"type": "dense", "n_n": 2, "n_i": "$w"}]}}))
+        argv = [command, str(space), task_file]
+        if command == "sweep":
+            argv += ["--budgets", "10"]
+        assert main(argv) == 2
+        assert "error: dimensions[1]: " in capsys.readouterr().err
+
 
 class TestSweep:
     def test_byte_identical_reruns(self, space_file, task_file, tmp_path):

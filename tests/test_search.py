@@ -218,17 +218,6 @@ def reference_kfold_score(task, net, k, seed, ridge=1e-6):
     return -float(np.mean(mses))
 
 
-def reference_distinct_rows(columns):
-    """``search._distinct_rows`` as first written: columns ranked one at a
-    time by ``np.unique`` and folded into a compact int64 code."""
-    code = np.zeros(columns[0].shape[0], dtype=np.int64)
-    for column in columns:
-        values, rank = np.unique(column, return_inverse=True)
-        _, first, code = np.unique(code * values.size + rank,
-                                   return_index=True, return_inverse=True)
-    return first, code
-
-
 class TestKFoldScore:
     def test_representable_targets_interpolate(self):
         # Identity channel and a linear layer: the readout can reconstruct
@@ -701,6 +690,18 @@ class TestSpaceSchema:
                           "high": -0.5}]}, "dimensions[0]"),
         ({"dimensions": [{"name": "res", "kind": "float", "low": 2,
                           "high": 8}]}, "template.layers[0].N_r"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": 2, "high": 8},
+                         {"name": "leak", "kind": "float", "low": 0.2,
+                          "high": 1.0, "log": "false"}]}, "dimensions[1]"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": 2, "high": 8},
+                         {"name": "leak", "kind": "float", "low": 0.2,
+                          "high": 1.0, "log": 1}]}, "dimensions[1]"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": 2, "high": 8,
+                          "log": True}]}, "dimensions[0]"),
+        ({"dimensions": [{"name": "res", "kind": "int", "low": 2, "high": 8},
+                         {"name": "act", "kind": "cat",
+                          "values": ["tanh", "relu"], "log": True}]},
+         "dimensions[1]"),
     ])
     def test_bad_field_names_path(self, extra, path):
         with pytest.raises(SchemaError) as err:
@@ -1008,39 +1009,6 @@ class TestKFoldScoreMatchesReference:
                 kfold_score(task, net, k=k, seed=0)
 
 
-class TestDistinctRowsMatchesReference:
-    @staticmethod
-    def assert_same(columns):
-        got_first, got_group = search._distinct_rows(columns)
-        want_first, want_group = reference_distinct_rows(columns)
-        assert got_first.tolist() == want_first.tolist()
-        assert got_group.tolist() == want_group.tolist()
-        assert got_group.shape == want_group.shape == columns[0].shape
-
-    @pytest.mark.parametrize("make", [
-        dense_space, conv_space, lambda: esn_space(), lambda: log_space(),
-    ], ids=["int-int", "int-int-cat", "int-float", "int-logfloat"])
-    def test_pools(self, make):
-        space = make()
-        rng = np.random.default_rng(31)
-        rows = rng.uniform(-0.3, 1.3, size=(2048, space.n_dims))
-        repeated = rows[rng.integers(0, 40, size=600)]
-        for pool in (rows, repeated, rows[:1], rows[:0]):
-            self.assert_same(space._columns(pool))
-
-    def test_signed_zeros_and_repeats(self):
-        rng = np.random.default_rng(32)
-        floats = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e-300], size=500)
-        ints = rng.integers(-2, 3, size=500)
-        cats = rng.integers(0, 3, size=500)
-        assert (np.signbit(floats) & (floats == 0)).any()
-        for columns in ([floats], [ints, floats], [floats, ints, cats],
-                        [cats, floats, floats]):
-            self.assert_same(columns)
-        _, group = search._distinct_rows([floats])
-        assert len(set(group[floats == 0].tolist())) == 1
-
-
 def mixed_space():
     """A category first, an int with negative ``low`` and one from 0:
     ``h <= 0``, ``w == 0`` and "bogus" fail to build."""
@@ -1066,109 +1034,111 @@ def huge_space():
     )
 
 
-def reference_screen(space, pool, budget=None):
-    """The pool screen through ``_distinct_rows``: each distinct decoded
-    architecture of the pool looked up once, in lexicographic order."""
-    columns = space._columns(np.asarray(pool, dtype=float))
-    first, group = search._distinct_rows(columns)
-    keys = zip(*(column[first].tolist() for column in columns))
-    limit = space.budget if budget is None else budget
-    metric = search._METRICS.index(space.metric)
-    return np.array([t is not None and (limit is None or t[metric] <= limit)
-                     for t in map(space._totals, keys)], dtype=bool)[group]
+def fresh_verdicts(space, rows, budgets):
+    """Per budget, each row's verdict from its architecture costed afresh
+    through its JSON document."""
+    fresh = [fresh_totals(space, row) for row in rows]
+    verdicts = {}
+    for budget in budgets:
+        limit = space.budget if budget is None else budget
+        verdicts[budget] = np.array([t is not None and (
+            limit is None or t[space.metric] <= limit) for t in fresh])
+    return fresh, verdicts
 
 
 class TestIndexTableMatchesDistinctRows:
-    """``screen`` on all-int/cat spaces against ``reference_screen`` on an
-    identical space: the same verdicts, the same memo contents in the same
-    insertion order, and the same order of the ``_totals`` calls that cost
-    a new architecture."""
+    """``screen`` on all-int/cat spaces gives every distinct row the verdict
+    of that row costed afresh, over pools that repeat, overlap and are
+    empty, and the memo holds each architecture's fresh totals."""
 
     BUDGETS = (None, 0, 1, 80, 500.5, 4095.999, -1, -2.5, 2 ** 63 - 1,
                2 ** 63, 2 ** 64 + 3, 10 ** 40, float(2 ** 70), 1e300)
 
     @staticmethod
-    def run(make, budgets, monkeypatch):
-        calls = []
-        totals = SearchSpace._totals
-
-        def recorded(self, key):
-            calls.append((id(self), key, key in self._costs))
-            return totals(self, key)
-
-        monkeypatch.setattr(SearchSpace, "_totals", recorded)
-        space, reference = make(), make()
+    def run(make, budgets):
+        space = make()
         rng = np.random.default_rng(41)
         rows = rng.uniform(-0.3, 1.3, size=(2048, space.n_dims))
-        pools = [rows[:3], rows[rng.integers(0, 2048, size=50)], rows[:0],
-                 rows, rows[1500:]]
+        fresh, verdicts = fresh_verdicts(space, rows, budgets)
+        pools = [np.arange(3), rng.integers(0, 2048, size=50),
+                 np.arange(0), np.arange(2048), np.arange(1500, 2048)]
         for pool in pools:
             for budget in budgets:
-                got = space.screen(pool, budget=budget)
+                got = space.screen(rows[pool], budget=budget)
                 assert got.dtype == bool and got.shape == (len(pool),)
-                assert got.tolist() == reference_screen(
-                    reference, pool, budget=budget).tolist()
-        assert list(space._costs.items()) == list(reference._costs.items())
-
-        def first_lookups(owner):
-            return [key for who, key, memoized in calls
-                    if who == id(owner) and not memoized]
-
-        assert first_lookups(space) == first_lookups(reference)
-        # the memo keeps the first _COST_MEMO_LIMIT of them, in that order
-        assert first_lookups(space)[:len(space._costs)] == list(space._costs)
+                assert got.tolist() == verdicts[budget][pool].tolist()
+        by_key = {space._key(row): t for row, t in zip(rows, fresh)}
+        for key, totals in space._costs.items():
+            assert totals == (None if by_key[key] is None else tuple(
+                by_key[key][metric] for metric in search._METRICS))
         return space
 
     @pytest.mark.parametrize("make", [dense_space, conv_space, mixed_space],
                              ids=["int-int", "int-int-cat", "cat-int-int"])
-    def test_pools(self, make, monkeypatch):
-        space = self.run(make, self.BUDGETS, monkeypatch)
+    def test_pools(self, make):
+        space = self.run(make, self.BUDGETS)
         if make is not dense_space:  # some architectures fail to build
             assert None in space._costs.values()
 
-    def test_space_budget_applies(self, monkeypatch):
+    def test_space_budget_applies(self):
         def make():
             return dataclasses.replace(mixed_space(), budget=700.5)
 
-        self.run(make, (None, 10 ** 30), monkeypatch)
+        self.run(make, (None, 10 ** 30))
 
-    def test_totals_beyond_int64(self, monkeypatch):
+    def test_totals_beyond_int64(self):
         keys = [(h, w) for h in range(3) for w in range(3)]
         exact = sorted(t[1] for t in map(huge_space()._totals, keys) if t)
         assert exact[0] < 2 ** 63 <= exact[-1]
         budgets = [b + d for b in exact for d in (-1, 0, 1)]
         budgets += [float(b) for b in exact] + [None, 2 ** 63 - 1, 0.5]
-        self.run(huge_space, budgets, monkeypatch)
+        self.run(huge_space, budgets)
 
     @pytest.mark.parametrize("cap", [64, 63], ids=["at-cap", "over-cap"])
     def test_cap(self, cap, monkeypatch):
         monkeypatch.setattr(search, "_COST_MEMO_LIMIT", cap)
-        self.run(dense_space, self.BUDGETS, monkeypatch)  # 64 architectures
+        space = self.run(dense_space, self.BUDGETS)  # 64 architectures
+        assert len(space._costs) == min(cap, 64)
 
 
 class TestLookupsPerSpace:
-    @pytest.mark.parametrize("make, cap, per_pool", [
+    @pytest.mark.parametrize("make, cap, overflows", [
         (dense_space, 64, False), (mixed_space, 96, False),
-        (dense_space, 63, True), (esn_space, 1 << 14, True)],
+        (dense_space, 32, True), (esn_space, 1 << 14, False)],
         ids=["at-cap", "cat-int-int", "over-cap", "float"])
-    def test_repeat_pool(self, make, cap, per_pool, monkeypatch):
-        """A space with an index table looks each architecture up once for
-        its lifetime; any other space once per pool."""
+    def test_repeat_pool(self, make, cap, overflows, monkeypatch):
+        """Each architecture is costed once per space while the memo has
+        room; past it, each row of an architecture the memo does not hold
+        is costed again."""
         monkeypatch.setattr(search, "_COST_MEMO_LIMIT", cap)
         space = make()
         pool = np.random.default_rng(44).uniform(size=(300, space.n_dims))
-        looked_up = []
-        totals = SearchSpace._totals
-
-        def counted(self, key):
-            looked_up.append(key)
-            return totals(self, key)
-
-        monkeypatch.setattr(SearchSpace, "_totals", counted)
+        costed = counted_cost_report(monkeypatch)
         first = space.screen(pool, budget=500)
-        n_first = len(looked_up)
+        n_first = len(costed)
         assert space.screen(pool, budget=500).tolist() == first.tolist()
-        assert len(looked_up) == n_first * (1 + per_pool)
+        unkept = sum(space._key(row) not in space._costs for row in pool)
+        assert (unkept > 0) == overflows
+        assert len(costed) == n_first + unkept
+
+    @pytest.mark.parametrize("make", [lambda: esn_space(budget=60_000),
+                                      lambda: log_space(budget=30_020)],
+                             ids=["int-float", "int-logfloat"])
+    def test_float_pool_with_repeats(self, make, monkeypatch):
+        """A float pool that repeats its rows costs each architecture once,
+        and every row's verdict is that row costed afresh."""
+        space = make()
+        rng = np.random.default_rng(31)
+        rows = rng.uniform(-0.3, 1.3, size=(40, space.n_dims))
+        pool = rows[rng.integers(0, 40, size=600)]
+        _, verdicts = fresh_verdicts(space, pool, (None, 0, 10 ** 6))
+        assert 0 < verdicts[None].sum() < len(pool)
+        costed = counted_cost_report(monkeypatch)
+        for budget, expected in verdicts.items():
+            assert space.screen(pool, budget=budget).tolist() == \
+                expected.tolist()
+        distinct = {space._key(row) for row in pool}
+        assert len(costed) == len(distinct) == len(space._costs)
 
 
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
