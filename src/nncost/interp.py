@@ -18,10 +18,20 @@ A recurrent step is fused. Each gate's input products W_g x_t are hoisted
 out of the time loop, one batched product per gate and block of steps; per
 step one product of the (G, n_h, n_h) stack of the U_g with h, which numpy
 runs as one gemv per gate, fills a (G, n_h) buffer, (W x + U h) + b is one
-expression over all gates and one sigmoid covers the sigmoid gates. Counts
-are closed form: the per-step tally times the number of steps. The gates
-are never stacked into one 2-D (G n_h, n) matrix, whose product BLAS rounds
-apart from the per-gate products.
+pair of adds over all gates and one sigmoid, with one exp, covers the
+sigmoid gates. Counts are closed form: the per-step tally times the number
+of steps. The gates are never stacked into one 2-D (G n_h, n) matrix, whose
+product BLAS rounds apart from the per-gate products.
+
+A recurrent step also allocates nothing. Its gate, exponent and candidate
+buffers are allocated once per run; each step writes into them through
+ufunc outputs, updates the run's state vectors in place, and ``run_layer``
+copies the step's output out. The operations and their order are those of
+the plain expressions, so the bits are too, provided every ufunc runs the
+loop it would have run on fresh arrays: numpy's SIMD and scalar loops round
+exp and tanh apart, and an output that partly overlaps an input can move a
+ufunc off its SIMD loop. So every operand is contiguous, and an output
+aliases an input only exactly (in place).
 
 Counting conventions:
 
@@ -95,23 +105,47 @@ class FixedPoint:
 Mode = str | FixedPoint
 
 
-def _stable_sigmoid(v):
-    # 1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|) (NaN sign kept):
-    # the numerator exp(min(v, 0)) is exactly 1 or e, and nothing overflows
-    return np.exp(np.minimum(v, 0.0)) / (1.0 + np.exp(np.minimum(v, -v)))
+# Read-only operands: a Python float costs a conversion on every ufunc call
+_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO.flags.writeable = _ONE.flags.writeable = False
 
 
+def _stable_sigmoid(v: np.ndarray, out=None, scratch=None):
+    """1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|) (NaN sign kept):
+    the numerator exp(min(v, 0)) is exactly 1 or e, and nothing overflows.
+    Written into ``out`` when given (v itself allowed); ``scratch``, a float
+    buffer of shape (2,) + v.shape, takes both exponents in one exp and is
+    allocated when not given."""
+    e = np.empty((2,) + v.shape) if scratch is None else scratch
+    num, den = e[0, ...], e[1, ...]  # views, also of a 0-d input's pair
+    np.minimum(v, _ZERO, out=num)
+    np.negative(v, den)
+    np.minimum(v, den, out=den)
+    np.exp(e, e)
+    np.add(_ONE, den, den)
+    return np.divide(num, den, out)
+
+
+def _linear(v, out, scratch=None):
+    np.copyto(out, v)
+    return out
+
+
+# phi(v) written into out, which may be v itself, and returned; ``scratch``
+# is the sigmoid's. (A positional out of minimum and maximum is deprecated,
+# and slow; other ufuncs take theirs positionally, which is faster.)
 _ACTIVATIONS = {
-    "linear": lambda v: np.asarray(v, dtype=float),
-    "relu": lambda v: np.maximum(v, 0.0),
-    "tanh": np.tanh,
-    "sigmoid": lambda v: _stable_sigmoid(np.asarray(v, dtype=float)),
+    "linear": _linear,
+    "relu": lambda v, out, scratch=None: np.maximum(v, _ZERO, out=out),
+    "tanh": lambda v, out, scratch=None: np.tanh(v, out),
+    "sigmoid": _stable_sigmoid,
 }
 
 
-def _activate(name: str, v, counters: OpCounters):
+def _activate(name: str, v: np.ndarray, counters: OpCounters):
+    """phi of a freshly computed pre-activation, in place."""
     counters.activations += int(np.size(v))
-    return _ACTIVATIONS[name](v)
+    return _ACTIVATIONS[name](v, v)
 
 
 def _quantize_operand(x: np.ndarray, b_i: int) -> tuple[np.ndarray, float]:
@@ -207,8 +241,10 @@ def _gates(W, U, x, mode, in_scale, counters: OpCounters,
     counted matrix (counts, fixed-point scale). ``inputs(t)`` gives every
     W_g x_t for t = 0, 1, ... in order, computed per gate and block of
     _BLOCK steps; ``recur(h)`` every U_g h, as one product of the 3-D stack
-    of the U_g. Counts T times ``per_step``, the U products and the add of
-    W x + U h; the W products as they run."""
+    of the U_g into the (G, rows) buffer returned third. Both return views
+    of per-run buffers that later calls overwrite. Counts T times
+    ``per_step``, the U products and the add of W x + U h; the W products
+    as they run."""
     W, U = ([_CountedMatrix(m, mode) for m in a.reshape((-1,) + a.shape[-2:])]
             for a in (W, U))
     WX = np.empty((min(len(x), _BLOCK), len(W), W[0].rows))
@@ -219,16 +255,18 @@ def _gates(W, U, x, mode, in_scale, counters: OpCounters,
     per_step.adds += UH.size
     counters.merge(per_step, len(x))
 
+    rows = list(WX)  # one view per step of a block, made once
+
     def inputs(t):
         if t % _BLOCK == 0:
             xs = x[t:t + _BLOCK, :, None]
             for g, W_g in enumerate(W):
                 WX[:len(xs), g] = W_g.apply(xs, counters, in_scale)[..., 0]
-        return WX[t % _BLOCK]
+        return rows[t % _BLOCK]
 
     def recur(h):  # one gemv per gate, rounding like U_g @ h
-        return np.matmul(U_all, h, out=UH)
-    return inputs, recur
+        return np.matmul(U_all, h, UH)
+    return inputs, recur, UH
 
 
 @dataclass
@@ -293,13 +331,17 @@ class RNNWeights:
 
     def stepper(self, spec: VanillaRNN, x, mode, in_scale, counters,
                 feedback):
-        inputs, recur = _gates(self.W, self.U, x, mode, in_scale, counters,
-                               OpCounters(adds=spec.n_h, activations=spec.n_h))
+        inputs, recur, _ = _gates(
+            self.W, self.U, x, mode, in_scale, counters,
+            OpCounters(adds=spec.n_h, activations=spec.n_h))
         act = _ACTIVATIONS[spec.activation]
+        pre, scratch = np.empty((1, spec.n_h)), np.empty((2, spec.n_h))
+        row = pre[0]
 
         def step(t, state):
-            state.h = act(((inputs(t) + recur(state.h)) + self.b)[0])
-            return state.h
+            np.add(inputs(t), recur(state.h), pre)
+            np.add(pre, self.b, pre)
+            return act(row, state.h, scratch)
         return step
 
 
@@ -317,17 +359,24 @@ class LSTMWeights:
 
     def stepper(self, spec: LSTM, x, mode, in_scale, counters, feedback):
         n = spec.n_h  # per step: 4 biases, 3 Hadamards, the cell-state add
-        inputs, recur = _gates(self.W, self.U, x, mode, in_scale, counters,
-                               OpCounters(mults=3 * n, adds=5 * n,
-                                          activations=5 * n))
+        inputs, recur, _ = _gates(self.W, self.U, x, mode, in_scale, counters,
+                                  OpCounters(mults=3 * n, adds=5 * n,
+                                             activations=5 * n))
         act = _ACTIVATIONS[spec.activation]
+        pre = np.empty((4, n))
+        sigmoids, (i_t, f_t, o_t, cand) = pre[:3], pre
+        sig_scratch, scratch = np.empty((2, 3, n)), np.empty((2, n))
 
         def step(t, state):
-            pre = (inputs(t) + recur(state.h)) + self.b
-            i_t, f_t, o_t = _stable_sigmoid(pre[:3])
-            state.C = f_t * state.C + i_t * act(pre[3])
-            state.h = o_t * act(state.C)
-            return state.h
+            np.add(inputs(t), recur(state.h), pre)
+            np.add(pre, self.b, pre)
+            _stable_sigmoid(sigmoids, sigmoids, sig_scratch)
+            act(cand, cand, scratch)
+            np.multiply(f_t, state.C, state.C)
+            np.multiply(i_t, cand, cand)
+            np.add(state.C, cand, state.C)
+            act(state.C, state.h, scratch)
+            return np.multiply(o_t, state.h, state.h)
         return step
 
 
@@ -345,17 +394,28 @@ class GRUWeights:
 
     def stepper(self, spec: GRU, x, mode, in_scale, counters, feedback):
         n = spec.n_h  # per step: 3 biases, reset, retain and renew products
-        inputs, recur = _gates(self.W, self.U, x, mode, in_scale, counters,
-                               OpCounters(mults=3 * n, adds=5 * n,
-                                          activations=3 * n))
+        inputs, recur, UH = _gates(
+            self.W, self.U, x, mode, in_scale, counters,
+            OpCounters(mults=3 * n, adds=5 * n, activations=3 * n))
         act = _ACTIVATIONS[spec.activation]
+        pre, UH_c, b_c = np.empty((3, n)), UH[2], self.b[2]
+        sigmoids, (z_t, r_t, cand) = pre[:2], pre
+        sig_scratch, scratch = np.empty((2, 2, n)), np.empty((2, n))
+        tmp = np.empty(n)
 
         def step(t, state):
-            WX, UH = inputs(t), recur(state.h)
-            z_t, r_t = _stable_sigmoid((WX[:2] + UH[:2]) + self.b[:2])
-            h_cand = act((WX[2] + r_t * UH[2]) + self.b[2])
-            state.h = z_t * state.h + (1.0 - z_t) * h_cand
-            return state.h
+            WX = inputs(t)
+            np.add(WX, recur(state.h), pre)  # its candidate row: see below
+            np.add(pre, self.b, pre)
+            _stable_sigmoid(sigmoids, sigmoids, sig_scratch)
+            np.multiply(r_t, UH_c, cand)
+            np.add(WX[2], cand, cand)
+            np.add(cand, b_c, cand)
+            act(cand, cand, scratch)
+            np.subtract(_ONE, z_t, tmp)
+            np.multiply(tmp, cand, cand)
+            np.multiply(z_t, state.h, state.h)
+            return np.add(state.h, cand, state.h)
         return step
 
 
@@ -385,18 +445,25 @@ class ESNWeights:
             W_back = _CountedMatrix(self.W_back, mode)
             W_back.tally(per_step, 1)
             per_step.adds += N_r
-        inputs, recur = _gates(self.W_in, self.W_r, x, mode, in_scale,
-                               counters, per_step)
+        inputs, recur, _ = _gates(self.W_in, self.W_r, x, mode, in_scale,
+                                  counters, per_step)
         act = _ACTIVATIONS[spec.activation]
         mu = float(spec.leak)
+        keep, mu = np.asarray(1.0 - mu), np.asarray(mu)  # 0-d, as _ONE
+        pre, back, scratch = (np.empty((1, N_r)), np.empty(N_r),
+                              np.empty((2, N_r)))
+        a = pre[0]
 
         def step(t, state):
-            pre = recur(state.s)[0] + inputs(t)[0]
+            np.add(recur(state.s), inputs(t), pre)
             if feedback:
-                pre = pre + W_back.values @ state.y_prev
-            state.s = (1.0 - mu) * state.s + mu * act(pre)
-            state.y_prev = W_o.values @ state.s + self.b_o
-            return state.y_prev
+                np.add(a, np.matmul(W_back.values, state.y_prev, back), a)
+            act(a, a, scratch)
+            np.multiply(keep, state.s, state.s)
+            np.multiply(mu, a, a)
+            np.add(state.s, a, state.s)
+            np.matmul(W_o.values, state.s, state.y_prev)
+            return np.add(state.y_prev, self.b_o, state.y_prev)
         return step
 
 
@@ -411,7 +478,8 @@ LayerWeights = (DenseWeights | ConvWeights | RNNWeights | LSTMWeights
 # 2-D matrix round differently, a 3-D stack of them does not), hoists
 # recurrent input products, tallies the rest in closed form and returns
 # ``step(t, state)``: the output of the one step t = 0 of a feedforward
-# kind, or of time step t, updating the ``CellState`` in place.
+# kind, or of time step t, updating the ``CellState`` in place (a recurrent
+# output may be a state vector, which the next step overwrites).
 EXECUTION = {Dense: DenseWeights, Conv1D: ConvWeights, VanillaRNN: RNNWeights,
              LSTM: LSTMWeights, GRU: GRUWeights, EchoState: ESNWeights}
 _KIND_BY_WEIGHTS = {weights: arch.KINDS[cls]

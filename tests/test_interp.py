@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -516,6 +517,105 @@ class TestStableSigmoid:
     def test_shapes_preserved(self):
         for v in (np.asarray(0.3), np.zeros((3, 4)), np.zeros(0)):
             assert interp._stable_sigmoid(v).shape == v.shape
+
+
+RECURRENT_KINDS = (VanillaRNN, LSTM, GRU, EchoState)
+
+
+def recurrent_spec(kind, activation):
+    if kind is EchoState:
+        return EchoState(n_i=2, N_r=6, s_p=0.5, n_o=2, n_s=5, leak=0.6,
+                         activation=activation)
+    return kind(2, 3, 5, activation=activation)
+
+
+def state_arrays(state):
+    return {name: value for name, value in vars(state).items()
+            if value is not None}
+
+
+def assert_same_state(got, want):
+    got, want = state_arrays(got), state_arrays(want)
+    assert got.keys() == want.keys()
+    for name in got:
+        np.testing.assert_array_equal(got[name].view(np.uint64),
+                                      want[name].view(np.uint64))
+
+
+class TestBufferOwnership:
+    """A recurrent step writes into buffers of its own run and updates the
+    run's state vectors in place. Nothing a caller passes in, or receives,
+    may share memory with them."""
+
+    @pytest.fixture(params=arch.ACTIVATIONS)
+    def activation(self, request):
+        return request.param
+
+    @pytest.fixture(params=RECURRENT_KINDS, ids=lambda k: k.__name__)
+    def kind(self, request):
+        return request.param
+
+    @staticmethod
+    def setup_run(kind, activation, seed=31):
+        spec = recurrent_spec(kind, activation)
+        rng = np.random.default_rng(seed)
+        weights = random_weights(spec, rng)
+        init = CellState(**{
+            name: rng.uniform(-1.0, 1.0, shape) for name, shape
+            in arch.layer_kind(spec).state(spec).items()})
+        x = rng.uniform(-1.0, 1.0, (5, 2))
+        return spec, weights, init, x
+
+    def test_inputs_left_unchanged(self, kind, activation):
+        spec, weights, init, x = self.setup_run(kind, activation)
+        saved = copy.deepcopy((weights, init, x))
+        run_layer(spec, weights, x, init_state=init,
+                  feedback=kind is EchoState)
+        assert_same_state(init, saved[1])
+        np.testing.assert_array_equal(x, saved[2])
+        for name, value in vars(weights).items():
+            np.testing.assert_array_equal(value, vars(saved[0])[name])
+
+    def test_stateful_batches_leave_states_unchanged(self, kind, activation):
+        spec, weights, _, x = self.setup_run(kind, activation)
+        batches = [x[:2], x[2:]]
+        saved = copy.deepcopy(batches)
+        outs, _ = run_batches(spec, weights, batches, "stateful")
+        assert not np.shares_memory(outs[0], outs[1])
+        state = None
+        for out, batch, kept in zip(outs, batches, saved):
+            np.testing.assert_array_equal(batch, kept)
+            given = copy.deepcopy(state)
+            want, final, _ = run_layer(spec, weights, batch,
+                                       init_state=state)
+            if state is not None:
+                assert_same_state(state, given)
+            np.testing.assert_array_equal(out, want)
+            state = final
+
+    def test_state_trace_entries_distinct(self, kind, activation):
+        spec, weights, init, x = self.setup_run(kind, activation)
+        trace = []
+        _, final, _ = run_layer(spec, weights, x, init_state=init,
+                                state_trace=trace)
+        assert len(trace) == len(x)
+        for i, entry in enumerate(trace):
+            assert not any(np.shares_memory(entry, other)
+                           for other in trace[i + 1:])
+            assert not any(np.shares_memory(entry, value)
+                           for value in state_arrays(final).values())
+
+    def test_final_state_owns_its_memory(self, kind, activation):
+        spec, weights, init, x = self.setup_run(kind, activation)
+        outs, final, _ = run_layer(spec, weights, x, init_state=init)
+        kept = copy.deepcopy(final)
+        outs_2, final_2, _ = run_layer(spec, weights, x)
+        for value in state_arrays(final).values():
+            for other in (outs, outs_2, *state_arrays(final_2).values()):
+                assert not np.shares_memory(value, other)
+        for a, b in itertools.combinations(state_arrays(final).values(), 2):
+            assert not np.shares_memory(a, b)
+        assert_same_state(final, kept)
 
 
 SIX_KINDS = [Dense(3, 2), Conv1D(n_f=2, n_i=2, n_k=2, n_s=5),

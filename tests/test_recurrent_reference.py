@@ -12,7 +12,9 @@ The sweeps depend on how the BLAS kernel rounds each product. So does the
 step's one (G, n_h, n_h) product over all gates' recurrent matrices, which
 the last test holds to the per-gate products directly. To hold a second
 OpenBLAS gemv kernel to the reference, rerun this file under
-``OPENBLAS_CORETYPE=Prescott``.
+``OPENBLAS_CORETYPE=Prescott``; to hold numpy's AVX2 loops, whose exp
+rounds apart from its AVX-512 ones, under
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``.
 """
 
 import numpy as np
@@ -375,3 +377,20 @@ def test_stacked_gate_product_rounds_per_gate(n_h):
             for U_g, out in zip(U, want):
                 np.matmul(U_g, h, out=out)
             assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("n_i", [1, 6])
+@pytest.mark.parametrize("n_h", [4, 17, 32])
+@pytest.mark.parametrize("kind", (LSTM, GRU), ids=lambda k: k.__name__)
+def test_long_streams_bitwise_equal(kind, n_h, n_i):
+    """Float runs of 2000 steps at the widths a recurrent search scores:
+    the step's buffers are reused across every step and across the
+    hoisted input products' block boundaries."""
+    steps = 2000
+    rng = np.random.default_rng([19, n_h, n_i, kind is GRU])
+    spec = make_spec(kind, n_i, n_h, "tanh", steps=steps)
+    weights = random_weights(spec, rng)
+    x = rng.uniform(-1.0, 1.0, (steps, n_i))
+    init = random_state(spec, rng) if n_i > 1 else None
+    assert_same_run(run(spec, weights, x, "float", init),
+                    reference_run(spec, weights, x, "float", init))

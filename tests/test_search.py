@@ -123,18 +123,35 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def kernel_pin(default, prescott, haswell):
-    """The digest pinned for the OpenBLAS kernel in use. BLAS rounds per
-    kernel, so a CSV of scores is byte-identical across reruns on one kernel
+# Whether numpy dispatches its AVX-512 loops: X86_V4 (AVX512_SKX in a
+# numpy without that entry). NPY_DISABLE_CPU_FEATURES can turn it off on a CPU
+# that has AVX-512, whose AVX512F flag then still reads True.
+_CPU = np._core._multiarray_umath.__cpu_features__
+NUMPY_AVX512 = _CPU.get("X86_V4", _CPU.get("AVX512_SKX", False))
+
+
+def kernel_pin(default, prescott, haswell, haswell_avx2=None):
+    """The digest pinned for the OpenBLAS kernel and numpy SIMD level in
+    use. BLAS rounds per kernel and numpy's float64 exp per SIMD level, so
+    a CSV of scores is byte-identical across reruns on one pair of them
     only. ``default`` belongs to the kernel OpenBLAS autodetects on the
     machine the pins were taken on, SkylakeX (the Haswell in numpy's build
-    configuration is the compile target, not the kernel that runs);
-    ``prescott`` and ``haswell`` to ``OPENBLAS_CORETYPE=Prescott`` and
-    ``OPENBLAS_CORETYPE=Haswell``, the kernel OpenBLAS picks on AVX2-only
-    and many AMD CPUs. A machine that autodetects another kernel checks
-    the pins with that variable set to one of these two."""
-    return {"Prescott": prescott, "Haswell": haswell}.get(
-        os.environ.get("OPENBLAS_CORETYPE"), default)
+    configuration is the compile target, not the kernel that runs), with
+    numpy's AVX-512 loops; ``prescott`` and ``haswell`` to
+    ``OPENBLAS_CORETYPE=Prescott`` and ``OPENBLAS_CORETYPE=Haswell`` with
+    the same loops. ``haswell_avx2`` belongs to the Haswell kernel with
+    numpy's AVX2 loops, which numpy runs where X86_V4 is missing: on an
+    AVX2-only CPU, or under ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+    AVX512_SPR"``. A pin passes it where its scores go through exp, as a
+    recurrent gate's sigmoid does; elsewhere ``haswell`` holds there too. A
+    machine that autodetects another kernel checks the pins with
+    ``OPENBLAS_CORETYPE`` set: to Prescott or Haswell under numpy's AVX-512
+    loops, to Haswell under its AVX2 loops (there is no Prescott digest for
+    those)."""
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    if coretype == "Haswell" and haswell_avx2 and not NUMPY_AVX512:
+        return haswell_avx2
+    return {"Prescott": prescott, "Haswell": haswell}.get(coretype, default)
 
 
 class TestKFold:
@@ -886,7 +903,9 @@ class TestRecurrentSearchPinned:
             prescott="5378e2fa383f54dd9df7c2a11432d8dd"
                      "c46401752af1e1d59878204cbabb0a80",
             haswell="5af0e7e8ccc2989b030fb6ea930956d5"
-                    "7185f56c25b4ce44679f7c179ba24d32")
+                    "7185f56c25b4ce44679f7c179ba24d32",
+            haswell_avx2="e90977d504c57e91dc29b88ebd81968c"
+                         "ddde020f8afac0ef4b1d68d59656da84")
 
 
 def reference_featurize(net, stream, seed):
