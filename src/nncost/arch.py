@@ -186,7 +186,7 @@ class LayerKind:
     nominal input of one pass; ``reuse`` is how many multiplications one
     stored weight performs in it. ``rm(spec)``, ``bop(spec, b_w, b_i, b_a)``
     and ``nabs(spec, b_w, b_i, b_a, x_w)`` are the analytic counts (see
-    ``costmodel``). The interpreter's step per kind is ``interp.EXECUTION``.
+    ``costmodel``). The interpreter's runner per kind is ``interp.EXECUTION``.
     """
 
     tag: str

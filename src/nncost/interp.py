@@ -9,28 +9,43 @@ output feedback disabled) it reproduces the analytic RM exactly.
 ``run_layer`` is the one entry point, and every forward pass runs its one
 skeleton: check each weight, the input and any given state against the
 shapes in ``arch.KINDS``, quantize the input in fixed point, build the
-kind's step (``EXECUTION``), then apply it once to a feedforward input or
-once per time step, from the given or zero state, into an output buffer.
-Only the step differs between layer types, and each kind's equations are
-in the docstring of its weights class.
+kind's runner (``EXECUTION``), then run it once on a feedforward input, or
+over the whole sequence from a copy of the given or zero state into an
+output buffer. Only the runner differs between layer types, and each
+kind's equations are in the docstring of its weights class.
 
-A recurrent step is fused. Each gate's input products W_g x_t are hoisted
-out of the time loop, one batched product per gate and block of steps; per
-step one product of the (G, n_h, n_h) stack of the U_g with h, which numpy
-runs as one gemv per gate, fills a (G, n_h) buffer, (W x + U h) + b is one
-pair of adds over all gates and one sigmoid, with one exp, covers the
-sigmoid gates. Counts are closed form: the per-step tally times the number
-of steps. The gates are never stacked into one 2-D (G n_h, n) matrix, whose
-product BLAS rounds apart from the per-gate products.
+A recurrent runner loops over the time steps itself, and its step is
+fused. Each gate's input products W_g x_t are hoisted out of the time
+loop, one batched product per gate and block of steps, which the runner
+reads row by row from one iterator (``_gates``); per step one product of
+the (G, n_h, n_h) stack of the U_g with h, which numpy runs as one gemv
+per gate, fills a (G, n_h) buffer, (W x + U h) + b is one pair of adds
+over all gates and one sigmoid, with one exp, covers the sigmoid gates.
+Counts are closed form: the per-step tally times the number of steps. The
+gates are never stacked into one 2-D (G n_h, n) matrix, whose product BLAS
+rounds apart from the per-gate products.
 
-A recurrent step also allocates nothing. Its gate, exponent and candidate
-buffers are allocated once per run; each step writes into them through
-ufunc outputs, updates the run's state vectors in place, and ``run_layer``
-copies the step's output out. The operations and their order are those of
-the plain expressions, so the bits are too, provided every ufunc runs the
-loop it would have run on fresh arrays: numpy's SIMD and scalar loops round
-exp and tanh apart, and an output that partly overlaps an input can move a
-ufunc off its SIMD loop. So every operand is contiguous, and an output
+A recurrent run also allocates nothing per step. Its ufuncs, gate,
+exponent and candidate buffers and their views are bound once per run;
+each step writes through ufunc outputs, its last ufunc writes h straight
+into the step's output row, where the next step reads it, and the other
+state vectors are updated in place. The final h is copied into the
+returned state at the end. An echo state layer instead computes y in its
+state vector and copies it into the row, because a BLAS product can round
+a vector apart by its address: OpenBLAS's Prescott dot does for one that
+starts 8 bytes off a 16-byte boundary, as a row of odd width can, and with
+one reservoir unit the feedback product W_back y is such a dot. The
+product that reads h from its row has n_h rows, a gemv, which rounded
+alike at every address on each x86-64 OpenBLAS kernel tried, or for
+n_h = 1 a one-term dot.
+
+The operations, their operand order and their lengths are those of the
+plain expressions, so the bits are too, provided every ufunc runs the loop
+it would have run on fresh arrays: numpy's SIMD and scalar loops round exp
+and tanh apart, an output that partly overlaps an input can move a ufunc
+off its SIMD loop, and a vector body and its scalar tail pass on different
+NaN payloads of a product of two NaNs, so joining two products into one
+longer call changes bits. So every operand is contiguous, and an output
 aliases an input only exactly (in place).
 
 Counting conventions:
@@ -110,42 +125,57 @@ _ZERO, _ONE = np.zeros(()), np.ones(())
 _ZERO.flags.writeable = _ONE.flags.writeable = False
 
 
-def _stable_sigmoid(v: np.ndarray, out=None, scratch=None):
-    """1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|) (NaN sign kept):
-    the numerator exp(min(v, 0)) is exactly 1 or e, and nothing overflows.
-    Written into ``out`` when given (v itself allowed); ``scratch``, a float
-    buffer of shape (2,) + v.shape, takes both exponents in one exp and is
-    allocated when not given."""
-    e = np.empty((2,) + v.shape) if scratch is None else scratch
+def _sigmoid(shape):
+    """The stable sigmoid of arrays of ``shape``: returns ``f(v, out)``,
+    which writes 1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|) (NaN
+    sign kept), into ``out`` (v itself allowed; a new array when None) and
+    returns it. The numerator exp(min(v, 0)) is exactly 1 or e, and nothing
+    overflows. Both exponents share one buffer, bound with its views here,
+    and one exp."""
+    e = np.empty((2,) + tuple(shape))
     num, den = e[0, ...], e[1, ...]  # views, also of a 0-d input's pair
-    np.minimum(v, _ZERO, out=num)
-    np.negative(v, den)
-    np.minimum(v, den, out=den)
-    np.exp(e, e)
-    np.add(_ONE, den, den)
-    return np.divide(num, den, out)
+    minimum, negative, exp, add, divide = (np.minimum, np.negative, np.exp,
+                                           np.add, np.divide)
+
+    def f(v, out):
+        minimum(v, _ZERO, out=num)
+        negative(v, den)
+        minimum(v, den, out=den)
+        exp(e, e)
+        add(_ONE, den, den)
+        return divide(num, den, out)
+    return f
 
 
-def _linear(v, out, scratch=None):
+def _stable_sigmoid(v: np.ndarray):
+    return _sigmoid(np.shape(v))(v, None)
+
+
+def _copy(v, out):
     np.copyto(out, v)
     return out
 
 
-# phi(v) written into out, which may be v itself, and returned; ``scratch``
-# is the sigmoid's. (A positional out of minimum and maximum is deprecated,
-# and slow; other ufuncs take theirs positionally, which is faster.)
+def _relu(v, out):
+    return np.maximum(v, _ZERO, out=out)
+
+
+# phi for arrays of a shape: ``_ACTIVATIONS[name](shape)`` returns f(v, out),
+# which writes phi(v) into out (v itself allowed) and returns it. (A
+# positional out of minimum and maximum is deprecated, and slow; other
+# ufuncs take theirs positionally, which is faster.)
 _ACTIVATIONS = {
-    "linear": _linear,
-    "relu": lambda v, out, scratch=None: np.maximum(v, _ZERO, out=out),
-    "tanh": lambda v, out, scratch=None: np.tanh(v, out),
-    "sigmoid": _stable_sigmoid,
+    "linear": lambda shape: _copy,
+    "relu": lambda shape: _relu,
+    "tanh": lambda shape: np.tanh,
+    "sigmoid": _sigmoid,
 }
 
 
 def _activate(name: str, v: np.ndarray, counters: OpCounters):
     """phi of a freshly computed pre-activation, in place."""
     counters.activations += int(np.size(v))
-    return _ACTIVATIONS[name](v, v)
+    return _ACTIVATIONS[name](np.shape(v))(v, v)
 
 
 def _quantize_operand(x: np.ndarray, b_i: int) -> tuple[np.ndarray, float]:
@@ -236,37 +266,33 @@ _BLOCK = 256  # steps per hoisted input product: bounds its buffer
 
 def _gates(W, U, x, mode, in_scale, counters: OpCounters,
            per_step: OpCounters):
-    """Counted products of a recurrent step's gates: W (G, rows, cols) and U
+    """Counted products of a recurrent run's gates: W (G, rows, cols) and U
     (G, rows, rows), or one gate's 2-D W and U. Each gate keeps its own
-    counted matrix (counts, fixed-point scale). ``inputs(t)`` gives every
-    W_g x_t for t = 0, 1, ... in order, computed per gate and block of
-    _BLOCK steps; ``recur(h)`` every U_g h, as one product of the 3-D stack
-    of the U_g into the (G, rows) buffer returned third. Both return views
-    of per-run buffers that later calls overwrite. Counts T times
-    ``per_step``, the U products and the add of W x + U h; the W products
-    as they run."""
+    counted matrix (counts, fixed-point scale). Returns ``inputs()``, which
+    yields every step's (G, rows) products W_g x_t for t = 0, 1, ... in
+    order, computing them per gate and block of _BLOCK steps as it reaches
+    them, into views of one buffer that the next block overwrites; the 3-D
+    stack of the U_g, whose product with h numpy runs as one gemv per gate,
+    rounding like U_g @ h; and a (G, rows) buffer for that product. Counts
+    T times ``per_step``, the U products and the add of W x + U h; the W
+    products as they run."""
     W, U = ([_CountedMatrix(m, mode) for m in a.reshape((-1,) + a.shape[-2:])]
             for a in (W, U))
     WX = np.empty((min(len(x), _BLOCK), len(W), W[0].rows))
     UH = np.empty((len(U), U[0].rows))
-    U_all = np.stack([U_g.values for U_g in U])
     for U_g in U:
         U_g.tally(per_step, 1)
     per_step.adds += UH.size
     counters.merge(per_step, len(x))
-
     rows = list(WX)  # one view per step of a block, made once
 
-    def inputs(t):
-        if t % _BLOCK == 0:
-            xs = x[t:t + _BLOCK, :, None]
+    def inputs():
+        for start in range(0, len(x), _BLOCK):
+            xs = x[start:start + _BLOCK, :, None]
             for g, W_g in enumerate(W):
                 WX[:len(xs), g] = W_g.apply(xs, counters, in_scale)[..., 0]
-        return rows[t % _BLOCK]
-
-    def recur(h):  # one gemv per gate, rounding like U_g @ h
-        return np.matmul(U_all, h, UH)
-    return inputs, recur, UH
+            yield from rows[:len(xs)]
+    return inputs, np.stack([U_g.values for U_g in U]), UH
 
 
 @dataclass
@@ -279,12 +305,12 @@ class DenseWeights:
     def stepper(self, spec: Dense, x, mode, in_scale, counters, feedback):
         W = _CountedMatrix(self.W, mode)
 
-        def step(t, state):
+        def run():
             # x[..., None]: a column per input, which rounds like W @ x
             y = W.apply(x[..., None], counters, in_scale)[..., 0]
             return _activate(spec.activation, _bias_add(y, self.b, counters),
                              counters)
-        return step
+        return run
 
 
 @dataclass
@@ -314,11 +340,11 @@ class ConvWeights:
             return _activate(spec.activation, _bias_add(
                 y, self.biases[:, None], counters), counters)
 
-        def step(t, state):
+        def run():
             # A batch runs input by input: one stacked product rounds
             # differently when n_f = 1.
             return maps(x) if x.ndim == 2 else np.stack([maps(s) for s in x])
-        return step
+        return run
 
 
 @dataclass
@@ -331,18 +357,24 @@ class RNNWeights:
 
     def stepper(self, spec: VanillaRNN, x, mode, in_scale, counters,
                 feedback):
-        inputs, recur, _ = _gates(
-            self.W, self.U, x, mode, in_scale, counters,
-            OpCounters(adds=spec.n_h, activations=spec.n_h))
-        act = _ACTIVATIONS[spec.activation]
-        pre, scratch = np.empty((1, spec.n_h)), np.empty((2, spec.n_h))
-        row = pre[0]
+        n = spec.n_h
+        inputs, U, UH = _gates(self.W, self.U, x, mode, in_scale, counters,
+                               OpCounters(adds=n, activations=n))
+        act, b = _ACTIVATIONS[spec.activation]((n,)), self.b
 
-        def step(t, state):
-            np.add(inputs(t), recur(state.h), pre)
-            np.add(pre, self.b, pre)
-            return act(row, state.h, scratch)
-        return step
+        def run(state, outs, trace):
+            matmul, add = np.matmul, np.add
+            pre = np.empty((1, n))
+            row, h = pre[0], state.h
+            for WX, h_t in zip(inputs(), outs):
+                matmul(U, h, UH)
+                add(WX, UH, pre)
+                add(pre, b, pre)
+                h = act(row, h_t)
+                if trace is not None:
+                    trace.append(h.copy())
+            np.copyto(state.h, h)
+        return run
 
 
 @dataclass
@@ -359,25 +391,32 @@ class LSTMWeights:
 
     def stepper(self, spec: LSTM, x, mode, in_scale, counters, feedback):
         n = spec.n_h  # per step: 4 biases, 3 Hadamards, the cell-state add
-        inputs, recur, _ = _gates(self.W, self.U, x, mode, in_scale, counters,
-                                  OpCounters(mults=3 * n, adds=5 * n,
-                                             activations=5 * n))
-        act = _ACTIVATIONS[spec.activation]
-        pre = np.empty((4, n))
-        sigmoids, (i_t, f_t, o_t, cand) = pre[:3], pre
-        sig_scratch, scratch = np.empty((2, 3, n)), np.empty((2, n))
+        inputs, U, UH = _gates(self.W, self.U, x, mode, in_scale, counters,
+                               OpCounters(mults=3 * n, adds=5 * n,
+                                          activations=5 * n))
+        act, sigmoid, b = (_ACTIVATIONS[spec.activation]((n,)),
+                           _sigmoid((3, n)), self.b)
 
-        def step(t, state):
-            np.add(inputs(t), recur(state.h), pre)
-            np.add(pre, self.b, pre)
-            _stable_sigmoid(sigmoids, sigmoids, sig_scratch)
-            act(cand, cand, scratch)
-            np.multiply(f_t, state.C, state.C)
-            np.multiply(i_t, cand, cand)
-            np.add(state.C, cand, state.C)
-            act(state.C, state.h, scratch)
-            return np.multiply(o_t, state.h, state.h)
-        return step
+        def run(state, outs, trace):
+            matmul, add, multiply = np.matmul, np.add, np.multiply
+            pre = np.empty((4, n))
+            sigmoids, (i_t, f_t, o_t, cand) = pre[:3], pre
+            C, h = state.C, state.h
+            for WX, h_t in zip(inputs(), outs):
+                matmul(U, h, UH)
+                add(WX, UH, pre)
+                add(pre, b, pre)
+                sigmoid(sigmoids, sigmoids)
+                act(cand, cand)
+                multiply(f_t, C, C)
+                multiply(i_t, cand, cand)
+                add(C, cand, C)
+                act(C, h_t)
+                h = multiply(o_t, h_t, h_t)
+                if trace is not None:
+                    trace.append(h.copy())
+            np.copyto(state.h, h)
+        return run
 
 
 @dataclass
@@ -394,29 +433,35 @@ class GRUWeights:
 
     def stepper(self, spec: GRU, x, mode, in_scale, counters, feedback):
         n = spec.n_h  # per step: 3 biases, reset, retain and renew products
-        inputs, recur, UH = _gates(
-            self.W, self.U, x, mode, in_scale, counters,
-            OpCounters(mults=3 * n, adds=5 * n, activations=3 * n))
-        act = _ACTIVATIONS[spec.activation]
-        pre, UH_c, b_c = np.empty((3, n)), UH[2], self.b[2]
-        sigmoids, (z_t, r_t, cand) = pre[:2], pre
-        sig_scratch, scratch = np.empty((2, 2, n)), np.empty((2, n))
-        tmp = np.empty(n)
+        inputs, U, UH = _gates(self.W, self.U, x, mode, in_scale, counters,
+                               OpCounters(mults=3 * n, adds=5 * n,
+                                          activations=3 * n))
+        act, sigmoid, b = (_ACTIVATIONS[spec.activation]((n,)),
+                           _sigmoid((2, n)), self.b)
 
-        def step(t, state):
-            WX = inputs(t)
-            np.add(WX, recur(state.h), pre)  # its candidate row: see below
-            np.add(pre, self.b, pre)
-            _stable_sigmoid(sigmoids, sigmoids, sig_scratch)
-            np.multiply(r_t, UH_c, cand)
-            np.add(WX[2], cand, cand)
-            np.add(cand, b_c, cand)
-            act(cand, cand, scratch)
-            np.subtract(_ONE, z_t, tmp)
-            np.multiply(tmp, cand, cand)
-            np.multiply(z_t, state.h, state.h)
-            return np.add(state.h, cand, state.h)
-        return step
+        def run(state, outs, trace):
+            matmul, add, subtract, multiply = (np.matmul, np.add,
+                                               np.subtract, np.multiply)
+            pre, tmp = np.empty((3, n)), np.empty(n)
+            sigmoids, (z_t, r_t, cand) = pre[:2], pre
+            UH_c, b_c, h = UH[2], b[2], state.h
+            for WX, h_t in zip(inputs(), outs):
+                matmul(U, h, UH)
+                add(WX, UH, pre)  # its candidate row: overwritten below
+                add(pre, b, pre)
+                sigmoid(sigmoids, sigmoids)
+                multiply(r_t, UH_c, cand)
+                add(WX[2], cand, cand)
+                add(cand, b_c, cand)
+                act(cand, cand)
+                subtract(_ONE, z_t, tmp)
+                multiply(tmp, cand, cand)
+                multiply(z_t, h, h_t)
+                h = add(h_t, cand, h_t)
+                if trace is not None:
+                    trace.append(h.copy())
+            np.copyto(state.h, h)
+        return run
 
 
 @dataclass
@@ -425,7 +470,8 @@ class ESNWeights:
     a_t = phi(W_r s + W_in x [+ W_back y_prev]);
     s_t = (1 - leak) s + leak a_t (two multiplications per unit);
     y_t = W_o s_t + b_o. Output feedback is off unless asked for, matching
-    the analytic count."""
+    the analytic count. y is computed in the state's y_prev and copied
+    into the output row (the module docstring says why)."""
 
     W_in: np.ndarray  # (N_r, n_i)
     W_r: np.ndarray  # (N_r, N_r), sparse with row_nonzeros entries per row
@@ -445,26 +491,33 @@ class ESNWeights:
             W_back = _CountedMatrix(self.W_back, mode)
             W_back.tally(per_step, 1)
             per_step.adds += N_r
-        inputs, recur, _ = _gates(self.W_in, self.W_r, x, mode, in_scale,
-                                  counters, per_step)
-        act = _ACTIVATIONS[spec.activation]
+        inputs, W_r, UH = _gates(self.W_in, self.W_r, x, mode, in_scale,
+                                 counters, per_step)
+        act = _ACTIVATIONS[spec.activation]((N_r,))
         mu = float(spec.leak)
         keep, mu = np.asarray(1.0 - mu), np.asarray(mu)  # 0-d, as _ONE
-        pre, back, scratch = (np.empty((1, N_r)), np.empty(N_r),
-                              np.empty((2, N_r)))
-        a = pre[0]
 
-        def step(t, state):
-            np.add(recur(state.s), inputs(t), pre)
-            if feedback:
-                np.add(a, np.matmul(W_back.values, state.y_prev, back), a)
-            act(a, a, scratch)
-            np.multiply(keep, state.s, state.s)
-            np.multiply(mu, a, a)
-            np.add(state.s, a, state.s)
-            np.matmul(W_o.values, state.s, state.y_prev)
-            return np.add(state.y_prev, self.b_o, state.y_prev)
-        return step
+        def run(state, outs, trace):
+            matmul, add, multiply, copyto = (np.matmul, np.add, np.multiply,
+                                             np.copyto)
+            pre, back = np.empty((1, N_r)), np.empty(N_r)
+            a, s, y, W_o_values, b_o = (pre[0], state.s, state.y_prev,
+                                        W_o.values, self.b_o)
+            for WX, y_t in zip(inputs(), outs):
+                matmul(W_r, s, UH)
+                add(UH, WX, pre)
+                if feedback:
+                    add(a, matmul(W_back.values, y, back), a)
+                act(a, a)
+                multiply(keep, s, s)
+                multiply(mu, a, a)
+                add(s, a, s)
+                matmul(W_o_values, s, y)
+                add(y, b_o, y)
+                copyto(y_t, y)
+                if trace is not None:
+                    trace.append(s.copy())
+        return run
 
 
 LayerWeights = (DenseWeights | ConvWeights | RNNWeights | LSTMWeights
@@ -472,14 +525,16 @@ LayerWeights = (DenseWeights | ConvWeights | RNNWeights | LSTMWeights
 
 # The interpreter's half of the layer-kind table (``arch.KINDS`` holds the
 # rest): each kind's weights class. It holds the kind's named arrays and
-# builds its step: ``stepper(spec, x, mode, in_scale, counters, feedback)``
+# builds its runner: ``stepper(spec, x, mode, in_scale, counters, feedback)``
 # sees the whole input x, prepares one counted matrix per weight, per gate
 # for gated cells (fixed-point scales are per matrix; gates stacked into one
 # 2-D matrix round differently, a 3-D stack of them does not), hoists
-# recurrent input products, tallies the rest in closed form and returns
-# ``step(t, state)``: the output of the one step t = 0 of a feedforward
-# kind, or of time step t, updating the ``CellState`` in place (a recurrent
-# output may be a state vector, which the next step overwrites).
+# recurrent input products and tallies the rest in closed form. A
+# feedforward kind returns ``run()``, which returns its output. A recurrent
+# kind returns ``run(state, outs, trace)``, which loops over every time
+# step: it writes step t's output into row t of ``outs``, appends a copy of
+# the readout state (else h) to ``trace`` unless it is None, and leaves the
+# final state in the ``CellState``, whose vectors belong to the run.
 EXECUTION = {Dense: DenseWeights, Conv1D: ConvWeights, VanillaRNN: RNNWeights,
              LSTM: LSTMWeights, GRU: GRUWeights, EchoState: ESNWeights}
 _KIND_BY_WEIGHTS = {weights: arch.KINDS[cls]
@@ -623,20 +678,17 @@ def run_layer(spec, weights, x, mode: Mode = "float",
     counters = OpCounters()
     x, in_scale = (_quantize_operand(x, mode.bits.b_i)
                    if isinstance(mode, FixedPoint) else (x, None))
-    step = EXECUTION[type(spec)].stepper(weights, spec, x, mode, in_scale,
-                                         counters, feedback)
+    run = EXECUTION[type(spec)].stepper(weights, spec, x, mode, in_scale,
+                                        counters, feedback)
     if not state_shapes:
-        return step(0, None), None, counters
+        return run(), None, counters
     state = CellState()
     for name, shape in state_shapes.items():
         given = getattr(init_state, name, None)
         setattr(state, name, np.zeros(shape) if given is None
                 else np.array(given, dtype=float))
     outs = np.empty((x.shape[0], kind.output_width(spec)))
-    for t in range(x.shape[0]):
-        outs[t] = step(t, state)
-        if state_trace is not None:
-            state_trace.append(getattr(state, kind.readout or "h").copy())
+    run(state, outs, state_trace)
     return outs, state, counters
 
 

@@ -386,6 +386,8 @@ class SearchSpace:
             for name in ("name", "kind"):
                 if name not in entry:
                     raise SchemaError(f"{path}.{name}", "missing field")
+            if not isinstance(entry["name"], str):
+                raise SchemaError(f"{path}.name", "must be a string")
             values = entry.get("values")
             if values is not None and not isinstance(values, list):
                 raise SchemaError(f"{path}.values", "must be an array")
@@ -479,6 +481,9 @@ def synth_task_fir(taps, noise_std: float, n_samples: int, seed: int) -> Task:
     return Task(inputs=received, targets=symbols)
 
 
+MAX_SAMPLES = 2 ** 20  # a task's stream length: bounds what scoring allocates
+
+
 def task_from_json(doc: dict) -> Task:
     """Task from its JSON document; SchemaError names the bad field."""
     if not isinstance(doc, dict):
@@ -491,10 +496,13 @@ def task_from_json(doc: dict) -> Task:
         raise SchemaError("taps", "must be a nonempty array of finite numbers")
     if not _number(noise_std) or not noise_std >= 0:
         raise SchemaError("noise_std", "must be a finite number >= 0")
-    for name, low in (("n_samples", 1), ("seed", 0)):
-        if type(doc[name]) is not int or doc[name] < low:  # bool excluded
-            raise SchemaError(name, f"must be an integer >= {low}")
-    return synth_task_fir(taps, noise_std, doc["n_samples"], doc["seed"])
+    n_samples, seed = doc["n_samples"], doc["seed"]  # type(): bool excluded
+    if type(n_samples) is not int or not 1 <= n_samples <= MAX_SAMPLES:
+        raise SchemaError("n_samples", f"must be an integer from 1 to "
+                                       f"2**20 = {MAX_SAMPLES}")
+    if type(seed) is not int or seed < 0:
+        raise SchemaError("seed", "must be an integer >= 0")
+    return synth_task_fir(taps, noise_std, n_samples, seed)
 
 
 @dataclass(frozen=True)

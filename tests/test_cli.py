@@ -320,6 +320,31 @@ class TestInputErrors:
             "error: dimensions[1].name: duplicate dimension name 'res'\n")
 
     @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("name", [{}, [1], None, -0.0, 3],
+                             ids=["object", "array", "null", "float", "int"])
+    def test_non_string_dimension_name_exit_2(self, command, name, space_file,
+                                              task_file, tmp_path, capsys):
+        doc = json.loads(open(space_file).read())
+        doc["dimensions"].append({"name": name, "kind": "int", "low": 1,
+                                  "high": 2})
+        space = tmp_path / "bad_space.json"
+        space.write_text(json.dumps(doc))
+        assert main(_argv(command, space, task_file)) == 2
+        assert capsys.readouterr().err == (
+            "error: dimensions[1].name: must be a string\n")
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("n_samples", [2 ** 20 + 1, 10 ** 11, 10 ** 30])
+    def test_n_samples_over_bound_exit_2(self, command, n_samples,
+                                         space_file, tmp_path, capsys):
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({**TASK, "n_samples": n_samples}))
+        assert main(_argv(command, space_file, task)) == 2
+        assert capsys.readouterr().err == (
+            "error: n_samples: must be an integer from 1 to "
+            "2**20 = 1048576\n")
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
     @pytest.mark.parametrize("low, high", [(0.2, 10 ** 400),
                                            (-10 ** 400, 1.0)],
                              ids=["huge-high", "huge-low"])

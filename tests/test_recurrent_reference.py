@@ -362,6 +362,27 @@ def test_esn_state_trace_bitwise_equal(feedback):
     assert_same_bits(np.stack(got_trace), np.stack(want_trace))
 
 
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+@pytest.mark.parametrize("kind", (VanillaRNN, LSTM, GRU),
+                         ids=lambda k: k.__name__)
+def test_state_trace_bitwise_equal(kind, mode):
+    """The trace of h over more than two hoisted input blocks, from a given
+    initial state. The reference returns its h after each step as that
+    step's output row, so its outputs are the trace to match."""
+    steps = 2 * interp._BLOCK + 1
+    rng = np.random.default_rng([23, KINDS.index(kind)])
+    spec = make_spec(kind, 3, 7, "sigmoid", steps=steps)
+    weights = random_weights(spec, rng)
+    x = rng.uniform(-1.0, 1.0, (steps, 3))
+    init = random_state(spec, rng)
+    trace = []
+    got = run_layer(spec, weights, x, mode, init, state_trace=trace)
+    want = reference_run(spec, weights, x, mode, init)
+    assert_same_run(got, want)
+    assert len(trace) == steps
+    assert_same_bits(np.stack(trace), want[0])
+
+
 @pytest.mark.parametrize("n_h", N_H)
 def test_stacked_gate_product_rounds_per_gate(n_h):
     """The step's one (G, n_h, n_h) @ (n_h,) product runs one gemv per

@@ -207,6 +207,19 @@ class TestSynthTask:
                                "n_samples": 32, "seed": 2})
         assert task.targets.size == 32
 
+    @pytest.mark.parametrize("n_samples", [2 ** 20 + 1, 10 ** 11, 10 ** 30])
+    def test_n_samples_bound(self, n_samples):
+        with pytest.raises(SchemaError) as err:
+            task_from_json({"taps": [0.9, 0.1], "noise_std": 0.05,
+                            "n_samples": n_samples, "seed": 2})
+        assert err.value.path == "n_samples"
+        assert "2**20 = 1048576" in str(err.value)
+
+    def test_n_samples_at_bound_accepted(self):
+        task = task_from_json({"taps": [0.9, 0.1], "noise_std": 0.0,
+                               "n_samples": 2 ** 20, "seed": 2})
+        assert task.inputs.shape == task.targets.shape == (2 ** 20,)
+
 
 def reference_ridge_fit(F, y, ridge):
     """The readout fit as first written: the bias column is stacked onto
@@ -719,6 +732,10 @@ class TestSpaceSchema:
                          {"name": "act", "kind": "cat",
                           "values": ["tanh", "relu"], "log": True}]},
          "dimensions[1]"),
+        *(({"dimensions": [{"name": "res", "kind": "int", "low": 2, "high": 8},
+                           {"name": name, "kind": "int", "low": 1,
+                            "high": 2}]}, "dimensions[1].name")
+          for name in ({}, [1], None, -0.0, 3, True)),
     ])
     def test_bad_field_names_path(self, extra, path):
         with pytest.raises(SchemaError) as err:
