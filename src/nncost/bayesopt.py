@@ -286,8 +286,7 @@ def _evaluate(objective, theta: np.ndarray) -> Trial:
 
 
 def bo_optimize(objective, space, max_iters: int, n_init: int, seed: int = 0,
-                constraint=None, gp_params: GPParams | None = None
-                ) -> tuple[Trial, list[Trial]]:
+                constraint=None) -> tuple[Trial, list[Trial]]:
     """Fit-propose-evaluate loop; returns the best trial and the full history.
 
     ``objective(theta)`` maps a unit-cube point to a finite score (or a
@@ -312,7 +311,7 @@ def bo_optimize(objective, space, max_iters: int, n_init: int, seed: int = 0,
             "could not collect enough feasible initial points")
     history = [_evaluate(objective, theta) for theta in init[:n_init]]
     for it in range(max_iters):
-        model = gp_fit(history, gp_params)
+        model = gp_fit(history)
         f_plus = max(t.score for t in history)
         theta = propose_next(model, space, f_plus, constraint,
                              seed=[seed, 1, it])

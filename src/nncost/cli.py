@@ -150,8 +150,9 @@ def cmd_search(args) -> int:
         seed=args.seed, constraint=space.screen)
     _emit(search.search_history_csv(space, history), args.output)
     params = space.decode(best.theta)
-    print(f"best score {best.score!r} at {json.dumps(params, sort_keys=True)}"
-          f" cost {json.dumps(best.cost, sort_keys=True)}", file=sys.stderr)
+    print(f"best score {search.format_score(best.score)} at "
+          f"{json.dumps(params, sort_keys=True)} "
+          f"cost {json.dumps(best.cost, sort_keys=True)}", file=sys.stderr)
     return 0
 
 
@@ -174,9 +175,9 @@ def cmd_sweep(args) -> int:
                                      k=args.folds)
     _emit(result.to_csv(), args.output)
     best = max(result.points, key=lambda p: p.best_score)
-    print(f"best over sweep: score {best.best_score!r} at budget "
-          f"{best.budget} ({json.dumps(best.best_params, sort_keys=True)})",
-          file=sys.stderr)
+    print(f"best over sweep: score {search.format_score(best.best_score)} "
+          f"at budget {best.budget} "
+          f"({json.dumps(best.best_params, sort_keys=True)})", file=sys.stderr)
     return 0
 
 

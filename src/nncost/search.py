@@ -37,6 +37,7 @@ from .errors import DomainError, NNCostError, SchemaError
 from .interp import fir_filter
 
 _METRICS = ("rm", "bop", "nabs")
+RIDGE = 1e-6  # added to the diagonal of the readout's Gram matrix
 
 # Distinct architectures whose cost totals one SearchSpace remembers. A
 # float dimension makes every candidate distinct; past this many entries
@@ -593,8 +594,8 @@ def _mean(values) -> float:
     return float(np.add.reduce(values) / values.size)
 
 
-def kfold_score(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,
-                ridge: float = 1e-6) -> float:
+def kfold_score(task: Task, net: NetworkSpec, k: int = 5,
+                seed: int = 0) -> float:
     """Mean held-out score (negative MSE) over a seeded k-fold plan.
 
     Features are computed once on the full stream (they depend only on the
@@ -606,7 +607,7 @@ def kfold_score(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,
     features = featurize(net, task.inputs, seed)
     design = np.concatenate((features, np.ones((features.shape[0], 1))),
                             axis=1)
-    penalty = ridge * np.eye(design.shape[1])
+    penalty = RIDGE * np.eye(design.shape[1])
     mses = []
     for train, test in _fold_pairs(task.targets.size, k, seed):
         beta = _ridge_fit(design[train], task.targets[train], penalty)
@@ -655,6 +656,13 @@ def make_objective(space: SearchSpace, task: Task, k: int = 3,
     return objective
 
 
+def format_score(score: float) -> str:
+    """A score as CSVs and best-score lines print it: 6 significant digits,
+    which keep the last-bit rounding of BLAS kernels and numpy SIMD levels
+    out of the text. The search itself keeps full precision."""
+    return format(score, ".6g")
+
+
 def search_history_csv(space: SearchSpace, history) -> str:
     """History rows: iteration, decoded theta, score, cost, feasible flag.
 
@@ -672,7 +680,7 @@ def search_history_csv(space: SearchSpace, history) -> str:
         feasible = (space.budget is None or trial.cost is None
                     or trial.cost[space.metric] <= space.budget)
         writer.writerow([i] + [params[n] for n in names]
-                        + [repr(trial.score), cost, int(feasible)])
+                        + [format_score(trial.score), cost, int(feasible)])
     return buf.getvalue()
 
 
@@ -700,7 +708,7 @@ class SweepResult:
         writer.writerow(["budget", "metric", "best_score", "best_theta_json",
                          "rm", "bop", "nabs"])
         for p in self.points:
-            writer.writerow([p.budget, p.metric, repr(p.best_score),
+            writer.writerow([p.budget, p.metric, format_score(p.best_score),
                              json.dumps(p.best_params, sort_keys=True),
                              p.rm, p.bop, p.nabs])
         return buf.getvalue()

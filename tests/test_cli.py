@@ -1,9 +1,14 @@
 """Command-line contract tests: exit codes, output formats, reproducibility."""
 
+import csv
+import io
 import json
+import math
+import re
 
 import pytest
 
+from nncost import bayesopt, search
 from nncost.cli import build_parser, main
 
 
@@ -49,6 +54,19 @@ def task_file(tmp_path):
     path.write_text(json.dumps({"taps": [0.8, 0.4], "noise_std": 0.05,
                                 "n_samples": 60, "seed": 3}))
     return str(path)
+
+
+def _record(monkeypatch, module, name):
+    """Wrap ``module.name`` and keep every value it returns."""
+    returned = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return returned
 
 
 class TestEstimate:
@@ -225,6 +243,46 @@ class TestSearch:
             argv += ["--budgets", "10"]
         assert main(argv) == 2
         assert "error: dimensions[1]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_scores_print_to_6_significant_digits(
+            self, command, space_file, task_file, monkeypatch, capsys):
+        # The CSV's score column and the stderr best-score line print
+        # every score to 6 significant digits; the trials and sweep points
+        # keep full precision.
+        runs = _record(monkeypatch, bayesopt, "bo_optimize")
+        sweeps = _record(monkeypatch, search, "complexity_sweep")
+        argv = [command, space_file, task_file, "--iters", "2", "--init", "2"]
+        if command == "sweep":
+            argv += ["--budgets", "30000,900000"]
+
+        def printed():
+            """(score, printed text) pairs: CSV rows, then stderr's best."""
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            rows = list(csv.DictReader(io.StringIO(out)))
+            if command == "search":
+                best, history = runs[-1]
+                scores = [t.score for t in history] + [best.score]
+                texts = [row["score"] for row in rows]
+            else:
+                scores = [p.best_score for p in sweeps[-1].points]
+                scores.append(max(scores))
+                texts = [row["best_score"] for row in rows]
+            texts.append(re.search(r"score (\S+) at ", err)[1])
+            assert len(texts) == len(scores)
+            return list(zip(scores, texts))
+
+        for score, text in printed():
+            digits = text.lstrip("-").split("e")[0].replace(".", "")
+            assert len(digits.lstrip("0")) <= 6
+            half_unit = 0.5 * 10.0 ** (math.floor(math.log10(abs(score))) - 5)
+            assert abs(float(text) - score) <= half_unit
+
+        monkeypatch.setattr(search, "kfold_score", lambda *a, **k: 0.1 + 0.2)
+        for score, text in printed():
+            assert score == 0.1 + 0.2 != 0.3
+            assert text == "0.3"
 
 
 class TestSweep:

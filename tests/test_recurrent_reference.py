@@ -11,9 +11,9 @@ same final state bits and the same ``OpCounters``, overflows included.
 The sweeps depend on how the BLAS kernel rounds each product. So does the
 step's one (G, n_h, n_h) product over all gates' recurrent matrices, which
 the last test holds to the per-gate products directly. To hold a second
-OpenBLAS gemv kernel to the reference, rerun this file under
-``OPENBLAS_CORETYPE=Prescott``; to hold numpy's AVX2 loops, whose exp
-rounds apart from its AVX-512 ones, under
+OpenBLAS gemv kernel to the reference, rerun this file with OpenBLAS forced
+to its Prescott kernel, as the CI workflow's Prescott step does; to hold
+numpy's AVX2 loops, whose exp rounds apart from its AVX-512 ones, under
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``.
 """
 

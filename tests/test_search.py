@@ -123,37 +123,6 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# Whether numpy dispatches its AVX-512 loops: X86_V4 (AVX512_SKX in a
-# numpy without that entry). NPY_DISABLE_CPU_FEATURES can turn it off on a CPU
-# that has AVX-512, whose AVX512F flag then still reads True.
-_CPU = np._core._multiarray_umath.__cpu_features__
-NUMPY_AVX512 = _CPU.get("X86_V4", _CPU.get("AVX512_SKX", False))
-
-
-def kernel_pin(default, prescott, haswell, haswell_avx2=None):
-    """The digest pinned for the OpenBLAS kernel and numpy SIMD level in
-    use. BLAS rounds per kernel and numpy's float64 exp per SIMD level, so
-    a CSV of scores is byte-identical across reruns on one pair of them
-    only. ``default`` belongs to the kernel OpenBLAS autodetects on the
-    machine the pins were taken on, SkylakeX (the Haswell in numpy's build
-    configuration is the compile target, not the kernel that runs), with
-    numpy's AVX-512 loops; ``prescott`` and ``haswell`` to
-    ``OPENBLAS_CORETYPE=Prescott`` and ``OPENBLAS_CORETYPE=Haswell`` with
-    the same loops. ``haswell_avx2`` belongs to the Haswell kernel with
-    numpy's AVX2 loops, which numpy runs where X86_V4 is missing: on an
-    AVX2-only CPU, or under ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-    AVX512_SPR"``. A pin passes it where its scores go through exp, as a
-    recurrent gate's sigmoid does; elsewhere ``haswell`` holds there too. A
-    machine that autodetects another kernel checks the pins with
-    ``OPENBLAS_CORETYPE`` set: to Prescott or Haswell under numpy's AVX-512
-    loops, to Haswell under its AVX2 loops (there is no Prescott digest for
-    those)."""
-    coretype = os.environ.get("OPENBLAS_CORETYPE")
-    if coretype == "Haswell" and haswell_avx2 and not NUMPY_AVX512:
-        return haswell_avx2
-    return {"Prescott": prescott, "Haswell": haswell}.get(coretype, default)
-
-
 class TestKFold:
     def test_even_split(self):
         plan = kfold_split(10, 5, seed=0)
@@ -498,13 +467,8 @@ class TestCostMemo:
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
         csv = complexity_sweep(dense_space(), task, [100, 500, 2000, 10_000],
                                iters=3, seed=0, n_init=3, k=3).to_csv()
-        assert sha256(csv) == kernel_pin(
-            "316267ce5b41af856ba530f85737d855"
-            "dde297f2c1abc53bf894c560780d341a",
-            prescott="79ae0c7879834ac56a17aab38a7581d1"
-                     "5e799890ca97f8907812fb406aa81d50",
-            haswell="60ccd011dd8c880dc508f36bd6387fc2"
-                    "234ee35cd673b4cbd964b590af4b8a36")
+        assert sha256(csv) == ("6ec1508fe786a43455538e9c49f7e0cb"
+                               "7327f0b2463643337b11cb514b5b5a78")
 
     def test_search_history_csv_pinned(self, tmp_path):
         space = tmp_path / "space.json"
@@ -523,13 +487,9 @@ class TestCostMemo:
                                     "n_samples": 60, "seed": 4}))
         assert main(["search", str(space), str(task), "--iters", "3",
                      "--init", "3", "--seed", "2", "-o", str(out)]) == 0
-        assert sha256(out.read_text()) == kernel_pin(
-            "2a7d39ead4ce47b798845efa9127da02"
-            "9470b4e41a5bc22268961e194034b949",
-            prescott="71dbef203b8add3ae2d0ed73488a97b2"
-                     "974f79b6626ac45d6fd7ec38ddaf1008",
-            haswell="baa1fcae9fe605383167fe3ba39ecbd6"
-                    "1702f8ead93927d26b43c173bb37eba7")
+        assert sha256(out.read_text()) == (
+            "805ec7ebb450ad60b69a9b074bbfd99a"
+            "21c54cae7a4d59e97939e5f3b969f531")
 
 
 class TestPoolScreen:
@@ -914,15 +874,8 @@ class TestRecurrentSearchPinned:
         text = out.read_text()
         assert {"lstm", "gru"} <= {row.split(",")[1]
                                    for row in text.splitlines()[1:]}
-        assert sha256(text) == kernel_pin(
-            "b6e78e671cb621d878fc4551a131697f"
-            "2c651f899733d4531544576da9645be2",
-            prescott="5378e2fa383f54dd9df7c2a11432d8dd"
-                     "c46401752af1e1d59878204cbabb0a80",
-            haswell="5af0e7e8ccc2989b030fb6ea930956d5"
-                    "7185f56c25b4ce44679f7c179ba24d32",
-            haswell_avx2="e90977d504c57e91dc29b88ebd81968c"
-                         "ddde020f8afac0ef4b1d68d59656da84")
+        assert sha256(text) == ("6ab5d1792b4ab2b259fe614bd7f77ee7"
+                                "894de7983d557be6b2c957816feae9c5")
 
 
 def reference_featurize(net, stream, seed):
