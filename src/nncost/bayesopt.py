@@ -47,12 +47,10 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def _norm_cdf(z):
-    return 0.5 * (1.0 + _erf(np.asarray(z, dtype=float) / _SQRT2))
-
-
-def _norm_pdf(z):
-    z = np.asarray(z, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    cdf = _erf(np.asarray(z, dtype=float) / _SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -110,11 +108,19 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, signal_var: float,
     # One (m, n) plane of squared scaled differences per dimension, summed
     # in np.add.reduce's order: bitwise the sum over the last axis of the
     # (m, n, d) array of differences, without numpy's inner loop running
-    # over runs of length d.
-    planes = [((A[:, j, None] - B[None, :, j]) / ell[j]) ** 2
-              for j in range(A.shape[1])]
+    # over runs of length d. Each step runs in place, and every rounding
+    # is the one of signal_var * exp(-0.5 * sum_j ((A_j - B_j) / ell_j)
+    # ** 2).
+    planes = []
+    for j in range(A.shape[1]):
+        plane = A[:, j, None] - B[None, :, j]
+        plane /= ell[j]
+        planes.append(np.square(plane, out=plane))
     sq = _reduce_sum(planes) if planes else np.zeros((len(A), len(B)))
-    return signal_var * np.exp(-0.5 * sq)
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= signal_var
+    return sq
 
 
 def _reduce_sum(terms: list) -> np.ndarray:
@@ -174,15 +180,15 @@ def gp_fit(trials, params: GPParams | None = None) -> GPModel:
     K = _kernel_matrix(X, X, signal_var, ell)
     jitter = params.jitter
     while True:
+        Kj = K + jitter * np.eye(X.shape[0])
         try:
-            L = np.linalg.cholesky(K + jitter * np.eye(X.shape[0]))
+            L = np.linalg.cholesky(Kj)
             break
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if jitter > 1e-4:
                 raise SingularCovariance(
                     "covariance not positive definite at jitter 1e-4")
-    Kj = K + jitter * np.eye(X.shape[0])
 
     def cho_solve(rhs):
         return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
@@ -207,11 +213,14 @@ def gp_predict(model: GPModel, theta):
             f"{model.X.shape[1]}")
     k_star = _kernel_matrix(pts, model.X, model.signal_var,
                             model.length_scales)
-    mu = model.y_mean + k_star @ model.alpha
+    mu = k_star @ model.alpha
+    mu += model.y_mean
     v = np.linalg.solve(model.L, k_star.T)
-    var = model.signal_var - np.sum(v * v, axis=0)
-    var = np.maximum(var, 0.0)
-    sigma = np.sqrt(var)
+    # signal_var - sum(v * v, axis=0), clipped at 0, square-rooted
+    sigma = np.add.reduce(np.square(v, out=v), axis=0)
+    np.subtract(model.signal_var, sigma, out=sigma)
+    np.maximum(sigma, 0.0, out=sigma)
+    np.sqrt(sigma, out=sigma)
     if single:
         return float(mu[0]), float(sigma[0])
     return mu, sigma
@@ -224,15 +233,31 @@ def expected_improvement(mu, sigma, f_plus):
     if np.any(sigma < 0):
         raise DomainError("sigma must be nonnegative")
     scalar = mu.ndim == 0
-    mu, sigma = np.atleast_1d(mu), np.atleast_1d(sigma)
-    ei = np.maximum(mu - f_plus, 0.0)
+    gain = np.atleast_1d(mu - f_plus)
+    sigma = np.atleast_1d(sigma)
     pos = sigma > 0
-    if np.any(pos):
-        z = (mu[pos] - f_plus) / sigma[pos]
-        ei_pos = (mu[pos] - f_plus) * _norm_cdf(z) + sigma[pos] * _norm_pdf(z)
-        ei = ei.copy()
-        ei[pos] = np.maximum(ei_pos, 0.0)
+    if pos.all():  # the usual case: no point sits on an observation
+        ei = _positive_ei(gain, sigma)
+    else:
+        ei = np.maximum(gain, 0.0)
+        if pos.any():
+            ei[pos] = _positive_ei(gain[pos], sigma[pos])
     return float(ei[0]) if scalar else ei
+
+
+def _positive_ei(gain: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """max(gain cdf(z) + sigma pdf(z), 0) for z = gain / sigma, given 1-D
+    arrays of gains mu - f_plus and of sigmas > 0. pdf(z) is rounded as
+    ((-0.5 z) z), its exp, then the product with 1 / sqrt(2 pi)."""
+    z = gain / sigma
+    ei = gain * _norm_cdf(z)
+    term = -0.5 * z
+    term *= z
+    np.exp(term, out=term)
+    term *= _INV_SQRT_2PI
+    term *= sigma
+    ei += term
+    return np.maximum(ei, 0.0, out=ei)
 
 
 def _draw_feasible(rng: np.random.Generator, n_dims: int,
@@ -246,7 +271,7 @@ def _draw_feasible(rng: np.random.Generator, n_dims: int,
         raise DomainError(
             f"constraint must map a ({N_CANDIDATES}, {n_dims}) pool to "
             f"{N_CANDIDATES} booleans, got shape {keep.shape} of {keep.dtype}")
-    return cands[keep]
+    return cands.compress(keep, axis=0)  # cands[keep], in one gather
 
 
 def propose_next(model: GPModel, space, f_plus: float, constraint=None,

@@ -37,7 +37,9 @@ starts 8 bytes off a 16-byte boundary, as a row of odd width can, and with
 one reservoir unit the feedback product W_back y is such a dot. The
 product that reads h from its row has n_h rows, a gemv, which rounded
 alike at every address on each x86-64 OpenBLAS kernel tried, or for
-n_h = 1 a one-term dot.
+n_h = 1 a one-term dot. A one-neuron dense layer's product is a dot per
+input, so it runs on a copy of its inputs whose rows each start on a
+16-byte boundary: a row of a batch then rounds as it does alone.
 
 The operations, their operand order and their lengths are those of the
 plain expressions, so the bits are too, provided every ufunc runs the loop
@@ -252,6 +254,25 @@ class _CountedMatrix:
         return y
 
 
+def _aligned_rows(x: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` whose every row (along the last axis) starts on a
+    16-byte boundary, as a freshly allocated vector does. A product with a
+    one-row matrix is a BLAS dot per row, and OpenBLAS's Prescott dot
+    rounds a vector that starts 8 bytes off that boundary apart, so the
+    product of a row would depend on where the row sits in its batch."""
+    n = x.shape[-1]
+    width = n + n % 2  # a whole number of 16-byte units per row
+    count = x.size // n if n else 0
+    buffer = np.empty(count * width + 1)
+    # the address; reading it through ndarray.ctypes retained about 56
+    # bytes per call
+    start = buffer.__array_interface__["data"][0] % 16 // 8
+    rows = buffer[start:start + count * width].reshape(
+        x.shape[:-1] + (width,))[..., :n]
+    rows[...] = x
+    return rows
+
+
 def _bias_add(y: np.ndarray, b: np.ndarray, counters: OpCounters):
     counters.adds += int(np.size(y))
     return y + b
@@ -304,6 +325,8 @@ class DenseWeights:
 
     def stepper(self, spec: Dense, x, mode, in_scale, counters, feedback):
         W = _CountedMatrix(self.W, mode)
+        if W.rows == 1:  # each input's product is a dot: align its rows
+            x = _aligned_rows(x)
 
         def run():
             # x[..., None]: a column per input, which rounds like W @ x

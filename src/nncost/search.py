@@ -107,19 +107,42 @@ class Dimension:
                                  "high - low (high / low with log) within "
                                  "the float range")
 
-    def _coordinates(self, u: np.ndarray) -> np.ndarray:
-        """Decoded coordinates of a column of unit-interval values: the
-        integers, the float values, or indices into ``values`` (category
-        values may be unhashable). Values outside [0, 1] are clipped."""
+    @functools.cached_property
+    def _offset(self) -> int:
+        """An int or cat dimension's lowest coordinate (0 for a category)."""
+        return 0 if self.kind == "cat" else int(self.low)
+
+    @functools.cached_property
+    def _radix(self) -> int:
+        """How many coordinates an int or cat dimension has."""
+        if self.kind == "cat":
+            return len(self.values)
+        return int(self.high) - int(self.low) + 1
+
+    def _clipped(self, u: np.ndarray) -> np.ndarray:
+        """A column of unit-interval values clipped to [0, 1]; DomainError
+        naming the dimension for a NaN."""
         if np.isnan(u).any():
             raise DomainError(f"dimension {self.name!r}: NaN coordinate")
-        u = np.minimum(np.maximum(u, 0.0), 1.0)
+        return np.minimum(np.maximum(u, 0.0), 1.0)
+
+    def _digits(self, u: np.ndarray) -> np.ndarray:
+        """Digit of each unit-interval value of an int or cat dimension:
+        ``min(floor(clip(u, 0, 1) * radix), radix - 1)``, as int64."""
+        radix = self._radix
+        return np.minimum((self._clipped(u) * radix).astype(np.int64),
+                          radix - 1)
+
+    def _coordinates(self, u: np.ndarray) -> np.ndarray:
+        """Decoded coordinates of a column of unit-interval values: the
+        integers (``low + digit``), the float values, or indices into
+        ``values`` (the digit; category values may be unhashable). Values
+        outside [0, 1] are clipped."""
         if self.kind == "cat":
-            n = len(self.values)
-            return np.minimum((u * n).astype(np.int64), n - 1)
+            return self._digits(u)
         if self.kind == "int":
-            lo, hi = int(self.low), int(self.high)
-            return np.minimum(lo + (u * (hi - lo + 1)).astype(np.int64), hi)
+            return self._offset + self._digits(u)
+        u = self._clipped(u)
         if self.log:
             # Python's ** (libm pow) per element: np.power may round the
             # last bit differently, which would move decoded values.
@@ -142,33 +165,48 @@ class _CostTable:
     small all-``int``/``cat`` space, by mixed-radix index, filled the first
     time a screened pool holds an index.
 
-    The index of decoded coordinates ``c`` is ``sum_j (c_j - offsets[j]) *
-    prod(radices[j+1:])``: the first dimension is most significant.
+    The index of a pool row is its dimensions' digits in Horner form,
+    ``(...(d_0 r_1 + d_1) r_2 + ...) + d_last``, with ``r_j`` the radix of
+    dimension j and ``d_j = min(floor(clip(u_j, 0, 1) r_j), r_j - 1)``: the
+    first dimension is most significant, and the architecture's
+    coordinates are ``offset_j + d_j``. Each budget's verdict per index,
+    ``valid & (cost <= limit)``, is one boolean array, built the first time
+    the budget is screened and again after new indices are filled, so a
+    pool's verdicts are one gather from it.
     """
 
-    offsets: tuple  # each dimension's lowest coordinate
-    radices: tuple
+    dimensions: tuple
     metric: int  # position of the constrained metric in a totals tuple
     known: np.ndarray
     valid: np.ndarray  # built and costed
     # int64, or Python ints (object) once a total does not fit int64, so
     # every comparison stays exact.
     cost: np.ndarray
+    # normalized limit -> verdict per index; emptied when indices are filled
+    verdicts: dict = field(default_factory=dict)
 
-    def screen(self, columns, totals, limit) -> np.ndarray:
-        """Verdict per row of decoded ``columns`` under ``limit`` (None for
-        no budget). ``totals(key)`` looks up each index not yet known."""
-        index = np.zeros(columns[0].shape, dtype=np.int64)
-        for column, offset, radix in zip(columns, self.offsets, self.radices):
-            index *= radix
-            index += column - offset
+    def index(self, pool: np.ndarray) -> np.ndarray:
+        """Mixed-radix index of each row of an (m, n_dims) pool."""
+        index = self.dimensions[0]._digits(pool[:, 0])
+        for j, dim in enumerate(self.dimensions[1:], 1):
+            index *= dim._radix
+            index += dim._digits(pool[:, j])
+        return index
+
+    def _fill(self, index: np.ndarray, totals):
+        """Look up each index of ``index`` not yet known through
+        ``totals(key)``, key the architecture's coordinates."""
         unseen = np.zeros(self.known.size, dtype=bool)
         unseen[index] = True
         unseen[self.known] = False
         fresh = np.flatnonzero(unseen)
-        coordinates = np.unravel_index(fresh, self.radices)
-        keys = zip(*((c + offset).tolist()
-                     for c, offset in zip(coordinates, self.offsets)))
+        if not fresh.size:
+            return
+        self.verdicts.clear()
+        coordinates = np.unravel_index(
+            fresh, [dim._radix for dim in self.dimensions])
+        keys = zip(*((c + dim._offset).tolist()
+                     for c, dim in zip(coordinates, self.dimensions)))
         for i, found in zip(fresh.tolist(), map(totals, keys)):
             self.known[i] = True
             if found is None:
@@ -179,14 +217,23 @@ class _CostTable:
             except OverflowError:
                 self.cost = self.cost.astype(object)
                 self.cost[i] = found[self.metric]
-        verdict = self.valid[index]
-        if limit is not None:
-            if not isinstance(limit, numbers.Integral) and \
-                    math.isfinite(limit):
-                # an integer total t <= limit exactly when t <= floor(limit)
-                limit = math.floor(limit)
-            verdict &= self.cost[index] <= limit
-        return verdict
+
+    def screen(self, pool: np.ndarray, totals, limit) -> np.ndarray:
+        """Verdict per row of an (m, n_dims) pool under ``limit`` (None for
+        no budget). ``totals(key)`` looks up each index not yet known."""
+        index = self.index(pool)
+        if not self.known.all():
+            self._fill(index, totals)
+        if limit is not None and not isinstance(limit, numbers.Integral) \
+                and math.isfinite(limit):
+            # an integer total t <= limit exactly when t <= floor(limit)
+            limit = math.floor(limit)
+        verdicts = self.verdicts.get(limit)
+        if verdicts is None:
+            verdicts = self.valid if limit is None else \
+                self.valid & (self.cost <= limit)
+            self.verdicts[limit] = verdicts
+        return verdicts[index]
 
 
 def _references(node, path: str):
@@ -209,15 +256,18 @@ class SearchSpace:
     column at once and gives each row the verdict that costing its decoded
     architecture (the tuple of integer values, float values and category
     indices) afresh would give. In a space of only ``int`` and ``cat``
-    dimensions with at most ``_COST_MEMO_LIMIT`` architectures, each row
-    maps to its mixed-radix index (first dimension most significant,
-    ``value - low`` for an int dimension) into per-space arrays of validity
-    and constrained-metric totals, filled the first time a pool holds an
-    index; in other spaces each row's totals are looked up through the
-    cost memo. ``screen`` is the constraint the optimizer calls: an
-    (m, n_dims) pool in, m booleans out. ``feasible`` is a one-row
-    ``screen``. Dimension names must be distinct, and every ``"$name"`` in
-    the template must name a dimension; SchemaError names the path.
+    dimensions with at most ``_COST_MEMO_LIMIT`` architectures, each row's
+    digits (``Dimension._digits``; the coordinate of an int dimension is
+    ``low + digit``) form its mixed-radix index, first dimension most
+    significant, into per-space arrays of validity and constrained-metric
+    totals, filled the first time a pool holds an index, and the row's
+    verdict is read from its budget's boolean array over those indices
+    (``_CostTable``); in other spaces each row's totals are looked up
+    through the cost memo. ``screen`` is the constraint the optimizer
+    calls: an (m, n_dims) pool in, m booleans out. ``feasible`` is a
+    one-row ``screen``. Dimension names must be distinct, and every
+    ``"$name"`` in the template must name a dimension; SchemaError names
+    the path.
 
     The template is compiled once, when the space is made
     (``arch.compile_template``), and every architecture is built from it:
@@ -284,15 +334,10 @@ class SearchSpace:
         None for any other space."""
         if any(dim.kind == "float" for dim in self.dimensions):
             return None
-        offsets = tuple(0 if dim.kind == "cat" else int(dim.low)
-                        for dim in self.dimensions)
-        radices = tuple(len(dim.values) if dim.kind == "cat"
-                        else int(dim.high) - low + 1
-                        for dim, low in zip(self.dimensions, offsets))
-        size = math.prod(radices)
+        size = math.prod(dim._radix for dim in self.dimensions)
         if size > _COST_MEMO_LIMIT:
             return None
-        return _CostTable(offsets, radices, _METRICS.index(self.metric),
+        return _CostTable(self.dimensions, _METRICS.index(self.metric),
                           np.zeros(size, dtype=bool),
                           np.zeros(size, dtype=bool),
                           np.zeros(size, dtype=np.int64))
@@ -357,12 +402,11 @@ class SearchSpace:
         if pool.ndim != 2 or pool.shape[1] != self.n_dims:
             raise DomainError(f"pool has shape {pool.shape}, expected "
                               f"(m, {self.n_dims})")
-        columns = self._columns(pool)
         limit = self.budget if budget is None else budget
         if self._table is not None:
-            return self._table.screen(columns, self._totals, limit)
+            return self._table.screen(pool, self._totals, limit)
         index = _METRICS.index(self.metric)
-        keys = zip(*(column.tolist() for column in columns))
+        keys = zip(*(column.tolist() for column in self._columns(pool)))
         return np.array([t is not None and (limit is None or t[index] <= limit)
                          for t in map(self._totals, keys)], dtype=bool)
 

@@ -126,6 +126,176 @@ class TestKernelMatrixMatchesReference:
             np.full((4, 2), 1.5))
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def reference_gp_fit(trials, params=None):
+    """``gp_fit`` as first written, from its collapse of duplicate points
+    on: K + jitter I formed once for each Cholesky attempt and again for
+    the refinement step."""
+    params = params or GPParams()
+    best = {}
+    for t in trials:
+        key = np.ascontiguousarray(t.theta).tobytes()
+        if key not in best or t.score > best[key].score:
+            best[key] = t
+    kept = list(best.values())
+    X = np.stack([t.theta for t in kept])
+    y = np.array([t.score for t in kept], dtype=float)
+    y_mean = float(y.mean())
+    yc = y - y_mean
+    signal_var = params.signal_var
+    if signal_var is None:
+        signal_var = float(yc.var())
+        if signal_var < 1e-12:
+            signal_var = 1.0
+    ell = np.broadcast_to(np.asarray(params.length_scales, dtype=float),
+                          (X.shape[1],)).astype(float)
+    K = TestKernelMatrixMatchesReference.reference(X, X, signal_var, ell)
+    jitter = params.jitter
+    while True:
+        try:
+            L = np.linalg.cholesky(K + jitter * np.eye(X.shape[0]))
+            break
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+            if jitter > 1e-4:
+                raise SingularCovariance("jitter")
+    Kj = K + jitter * np.eye(X.shape[0])
+
+    def cho_solve(rhs):
+        return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+    alpha = cho_solve(yc)
+    alpha += cho_solve(yc - Kj @ alpha)
+    return jitter, L, alpha
+
+
+def reference_gp_predict(model, pts):
+    """``gp_predict`` of an (m, d) batch as first written."""
+    k_star = TestKernelMatrixMatchesReference.reference(
+        pts, model.X, model.signal_var, model.length_scales)
+    mu = model.y_mean + k_star @ model.alpha
+    v = np.linalg.solve(model.L, k_star.T)
+    var = model.signal_var - np.sum(v * v, axis=0)
+    var = np.maximum(var, 0.0)
+    return mu, np.sqrt(var)
+
+
+def reference_expected_improvement(mu, sigma, f_plus):
+    """``expected_improvement`` of 1-D arrays as first written: (mu -
+    f_plus) and sigma gathered at sigma > 0, the normal pdf as one
+    expression, the result scattered into a copy."""
+    ei = np.maximum(mu - f_plus, 0.0)
+    pos = sigma > 0
+    if np.any(pos):
+        z = (mu[pos] - f_plus) / sigma[pos]
+        cdf = 0.5 * (1.0 + bayesopt._erf(z / math.sqrt(2.0)))
+        pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
+        ei_pos = (mu[pos] - f_plus) * cdf + sigma[pos] * pdf
+        ei = ei.copy()
+        ei[pos] = np.maximum(ei_pos, 0.0)
+    return ei
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestPosteriorMatchesReference:
+    """``gp_fit``, ``gp_predict`` and ``expected_improvement`` round every
+    value as the expressions they were first written as: bitwise on each
+    BLAS kernel and numpy SIMD level."""
+
+    @staticmethod
+    def models(seed):
+        rng = np.random.default_rng(seed)
+        for i in range(12):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 25))
+            X = rng.uniform(size=(n, d))
+            if i % 4 == 3:  # a repeated point, and near-duplicates
+                X[-1] = X[0]
+                X[1:3] = X[0] + 1e-9
+            trials = [trial(x, float(rng.normal())) for x in X]
+            ell = rng.uniform(0.1, 1.5, d) if i % 2 else 0.3
+            # at a signal variance of 1e9 the posterior variance at an
+            # observed point rounds to <= 0 as often as not: sigma = 0
+            params = GPParams(length_scales=ell,
+                              signal_var=(None, 0.8, 1e9)[i % 3])
+            yield rng, X, trials, params
+
+    @pytest.mark.parametrize("failures", [0, 2])
+    def test_fit(self, failures, monkeypatch):
+        """The first ``failures`` Cholesky attempts of each fit fail, so
+        the fit goes on at 10**failures times the first jitter or more (a
+        signal variance of 1e9 escalates it too)."""
+        cholesky = np.linalg.cholesky
+        attempts = []
+
+        def failing(matrix):
+            attempts.append(matrix)
+            if len(attempts) <= failures:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        for _, _, trials, params in self.models(51):
+            attempts.clear()
+            model = gp_fit(trials, params)
+            attempts.clear()
+            jitter, L, alpha = reference_gp_fit(trials, params)
+            assert model.jitter == jitter
+            assert jitter > params.jitter * 10 ** failures / 2
+            np.testing.assert_array_equal(bits(model.L), bits(L))
+            np.testing.assert_array_equal(bits(model.alpha), bits(alpha))
+
+    def test_predict_and_ei(self):
+        zero, mixed, positive = 0, 0, 0
+        for rng, X, trials, params in self.models(52):
+            model = gp_fit(trials, params)
+            f_plus = max(t.score for t in trials)
+            pool = rng.uniform(-0.2, 1.2, size=(300, X.shape[1]))
+            # observed points, where sigma is often exactly 0
+            pool[::7][:len(X)] = X[:len(pool[::7])]
+            for rows in (pool, pool[1::7], pool[::7][:1]):
+                mu, sigma = gp_predict(model, rows)
+                want_mu, want_sigma = reference_gp_predict(model, rows)
+                np.testing.assert_array_equal(bits(mu), bits(want_mu))
+                np.testing.assert_array_equal(bits(sigma), bits(want_sigma))
+                on = sigma > 0
+                zero += not on.any()
+                mixed += 0 < on.sum() < on.size
+                positive += on.all()
+                for best in (f_plus, f_plus - 1.0, float(mu.max()) + 0.5):
+                    np.testing.assert_array_equal(
+                        bits(expected_improvement(mu, sigma, best)),
+                        bits(reference_expected_improvement(mu, sigma, best)))
+        assert zero and mixed and positive
+
+    @pytest.mark.parametrize("zeros", ["none", "some", "all"])
+    def test_ei_drawn(self, zeros):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            mu = rng.normal(scale=3.0, size=500)
+            sigma = rng.uniform(0.0, 2.0, size=500) ** 3
+            if zeros == "some":
+                sigma[rng.uniform(size=500) < 0.3] = 0.0
+            elif zeros == "all":
+                sigma[:] = 0.0
+            mu[:5] = [0.0, -0.0, 1e300, -1e300, 0.4]
+            for f_plus in (0.0, 0.4, float(rng.normal())):
+                np.testing.assert_array_equal(
+                    bits(expected_improvement(mu, sigma, f_plus)),
+                    bits(reference_expected_improvement(mu, sigma, f_plus)))
+
+    def test_ei_scalar(self):
+        for mu, sigma in ((0.3, 0.0), (0.3, 0.7), (-2.0, 1e-300)):
+            got = expected_improvement(mu, sigma, 0.1)
+            want = reference_expected_improvement(
+                np.array([mu]), np.array([sigma]), 0.1)[0]
+            assert isinstance(got, float)
+            assert bits(got) == bits(want)
+
+
 class TestGP:
     def test_single_trial_interpolates(self):
         model = gp_fit([trial(0.4, 3.0)])

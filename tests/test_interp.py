@@ -713,6 +713,34 @@ class TestBatchedFeedforward:
             np.testing.assert_array_equal(y, rows)
             assert c.mults == X.shape[0] * rm_layer(spec)
 
+    def test_one_neuron_batch_equals_row_copies(self):
+        """A one-neuron product is a dot per row, which OpenBLAS's Prescott
+        kernel rounds by the row's address. Each row of a batch, and of the
+        same batch starting 8 bytes further on, matches the row run alone
+        from a fresh copy; in fixed point, where a batch shares one input
+        scale, the two batches match."""
+        rng = np.random.default_rng(37)
+        fixed = FixedPoint(BitwidthConfig(b_w=8, b_i=8),
+                           quant.FixedUniform(8))
+        for n_i in range(1, 18):
+            spec = Dense(1, n_i)
+            for _ in range(12):
+                w = random_weights(spec, rng)
+                data = rng.normal(size=(8, n_i))
+                buffer = np.empty(8 * n_i + 1)
+                outputs = []
+                for X in (buffer[:-1].reshape(8, n_i),
+                          buffer[1:].reshape(8, n_i)):
+                    X[...] = data
+                    y = run_layer(spec, w, X)[0]
+                    rows = np.stack([run_layer(spec, w, x.copy())[0]
+                                     for x in X])
+                    np.testing.assert_array_equal(y.view(np.uint64),
+                                                  rows.view(np.uint64))
+                    outputs.append(run_layer(spec, w, X, fixed)[0])
+                np.testing.assert_array_equal(outputs[0].view(np.uint64),
+                                              outputs[1].view(np.uint64))
+
     def test_conv_batch_equals_inputs(self):
         spec = Conv1D(n_f=1, n_i=2, n_k=3, n_s=7, padding=1, stride=2)
         w = random_weights(spec, 36)

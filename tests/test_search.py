@@ -556,6 +556,27 @@ class TestPoolScreen:
             assert key == tuple(reference_coordinate(d, u)
                                 for d, u in zip(space.dimensions, theta))
             assert [type(c) for c in key] == [int] * 4 + [float] * 2
+        # The index table's row index, from the digits, is the mixed-radix
+        # number of the reference coordinates less each dimension's lowest.
+        discrete = dims[:6]
+        table = SearchSpace(dimensions=discrete, template={})._table
+        offsets = [0 if d.kind == "cat" else int(d.low) for d in discrete]
+        radices = [len(d.values) if d.kind == "cat"
+                   else int(d.high) - int(d.low) + 1 for d in discrete]
+        pool = np.random.default_rng(5).uniform(-0.5, 1.5, size=(3000, 6))
+        pool[:len(special)] = np.array(special)[:, None]
+        pool[len(special):2 * len(special)] = np.array(special)[::-1, None]
+        want = []
+        for row in pool:
+            index = 0
+            for dim, u, offset, radix in zip(discrete, row, offsets,
+                                             radices):
+                index = index * radix + reference_coordinate(dim, u) - offset
+            want.append(index)
+        got = table.index(pool)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert 0 <= min(want) and max(want) == table.known.size - 1
 
     @pytest.mark.parametrize("pool", [
         np.zeros((5, 3)), np.zeros((5, 1)), np.zeros(2), np.zeros((2, 2, 1)),
@@ -1082,6 +1103,31 @@ class TestIndexTableMatchesDistinctRows:
         budgets = [b + d for b in exact for d in (-1, 0, 1)]
         budgets += [float(b) for b in exact] + [None, 2 ** 63 - 1, 0.5]
         self.run(huge_space, budgets)
+
+    @pytest.mark.parametrize("make", [mixed_space, huge_space],
+                             ids=["cat-int-int", "beyond-int64"])
+    def test_budget_verdicts_follow_new_indices(self, make):
+        """Each budget's verdicts are built once and rebuilt after new
+        indices are filled: budget A, then a pool of new indices at budget
+        B, then A again over both pools, each against fresh costing."""
+        space = make()
+        rows = np.random.default_rng(42).uniform(-0.3, 1.3,
+                                                 size=(300, space.n_dims))
+        first = rows[:, 0] < 0.3  # the first category only
+        budgets = list(self.BUDGETS)
+        if make is huge_space:  # between its totals, below and above 2**63
+            budgets += [2 ** 41, 2 ** 62, 2 ** 90, float(2 ** 90)]
+        _, verdicts = fresh_verdicts(space, rows, budgets)
+        for a, b in itertools.product(budgets, repeat=2):
+            space = make()
+            for pool, budget in ((first, a), (~first, b),
+                                 (np.ones(len(rows), bool), a)):
+                got = space.screen(rows[pool], budget=budget)
+                assert got.tolist() == verdicts[budget][pool].tolist()
+        # the new indices hold architectures that are within some budgets
+        # and over others
+        assert verdicts[None][~first].any()
+        assert len({tuple(v[~first]) for v in verdicts.values()}) > 2
 
     @pytest.mark.parametrize("cap", [64, 63], ids=["at-cap", "over-cap"])
     def test_cap(self, cap, monkeypatch):
