@@ -14,8 +14,7 @@ from .quant import (APoT, FixedUniform, Float, PoT, cluster_weights,
                     effective_rm, magnitude_prune, quantize_apot,
                     quantize_pot, quantize_uniform, x_w)
 from .search import (Dimension, FoldPlan, SearchSpace, Task, complexity_sweep,
-                     evaluate_arch, featurize, kfold_score, kfold_split,
-                     synth_task_fir)
+                     featurize, kfold_score, kfold_split, synth_task_fir)
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,7 @@ __all__ = [
     "GRU", "LSTM", "NetworkSpec", "OpCounters", "PoT", "SearchSpace", "Task",
     "Trial", "VanillaRNN", "acc_bits", "audit", "bo_optimize", "bop_layer",
     "cluster_weights", "complexity_sweep", "conv1d_output_size", "cost_report",
-    "effective_rm", "evaluate_arch", "expected_improvement", "featurize",
+    "effective_rm", "expected_improvement", "featurize",
     "fir_filter", "gp_fit", "gp_predict", "iir_filter", "kernel",
     "kfold_score", "kfold_split", "magnitude_prune", "mult_bits",
     "nabs_layer", "nenb", "parse_spec", "propose_next", "quantize_apot",

@@ -21,9 +21,12 @@ from .errors import DomainError, SchemaError, SpecSyntaxError
 ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
 
 
-def _require_count(value, name: str, minimum: int = 1):
+def _require_count(value, name: str, minimum: int = 1,
+                   maximum: int | None = None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer")
+    if maximum is not None and not minimum <= value <= maximum:
+        raise ValueError(f"{name} must be in [{minimum}, {maximum}]")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
 
@@ -356,11 +359,7 @@ class BitwidthConfig:
 
     def __post_init__(self):
         for name in ("b_w", "b_i", "b_a"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer")
-            if not 1 <= value <= 64:
-                raise ValueError(f"{name} must be in [1, 64]")
+            _require_count(getattr(self, name), name, 1, 64)
 
 
 @dataclass(frozen=True)

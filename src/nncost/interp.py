@@ -37,9 +37,12 @@ starts 8 bytes off a 16-byte boundary, as a row of odd width can, and with
 one reservoir unit the feedback product W_back y is such a dot. The
 product that reads h from its row has n_h rows, a gemv, which rounded
 alike at every address on each x86-64 OpenBLAS kernel tried, or for
-n_h = 1 a one-term dot. A one-neuron dense layer's product is a dot per
-input, so it runs on a copy of its inputs whose rows each start on a
-16-byte boundary: a row of a batch then rounds as it does alone.
+n_h = 1 a one-term dot. Every input product (dense W, the convolution
+kernel, each gate's W_g, the echo state W_in) runs through the counted
+product. A one-row matrix applied to column vectors is a BLAS dot per
+vector, so the counted product aligns it: it runs on a copy of the
+vectors, each starting on a 16-byte boundary, and a row of a batch or
+stream rounds as it does alone.
 
 The operations, their operand order and their lengths are those of the
 plain expressions, so the bits are too, provided every ufunc runs the loop
@@ -238,9 +241,11 @@ class _CountedMatrix:
 
     def apply(self, x: np.ndarray, counters: OpCounters,
               input_scale: float | None = None) -> np.ndarray:
-        """Counted product self.values @ x for x of shape (cols,), (cols, m)
-        or (m, cols, 1): one application per column vector."""
+        """Counted product self.values @ x for x of shape (cols, m) or
+        (m, cols, 1): one application per column vector."""
         self.tally(counters, x.size // self.cols)
+        if self.rows == 1 and x.shape[-1] == 1:  # a dot per column: align
+            x = _aligned_rows(x[..., 0])[..., None]
         y = self.values @ x
         if self.scale is not None and input_scale:
             # Saturating accumulator check in integer-code units.
@@ -259,7 +264,8 @@ def _aligned_rows(x: np.ndarray) -> np.ndarray:
     16-byte boundary, as a freshly allocated vector does. A product with a
     one-row matrix is a BLAS dot per row, and OpenBLAS's Prescott dot
     rounds a vector that starts 8 bytes off that boundary apart, so the
-    product of a row would depend on where the row sits in its batch."""
+    product of a row would depend on where the row sits in its batch or
+    stream."""
     n = x.shape[-1]
     width = n + n % 2  # a whole number of 16-byte units per row
     count = x.size // n if n else 0
@@ -325,8 +331,6 @@ class DenseWeights:
 
     def stepper(self, spec: Dense, x, mode, in_scale, counters, feedback):
         W = _CountedMatrix(self.W, mode)
-        if W.rows == 1:  # each input's product is a dot: align its rows
-            x = _aligned_rows(x)
 
         def run():
             # x[..., None]: a column per input, which rounds like W @ x

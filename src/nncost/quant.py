@@ -28,10 +28,7 @@ from .errors import DomainError, ShapeError
 
 
 def _check_bw(b_w: int, minimum: int = 2):
-    if isinstance(b_w, bool) or not isinstance(b_w, int):
-        raise ValueError("b_w must be an integer")
-    if not minimum <= b_w <= 64:
-        raise ValueError(f"b_w must be in [{minimum}, 64]")
+    arch._require_count(b_w, "b_w", minimum, 64)
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,7 @@ class APoT:
 
     def __post_init__(self):
         _check_bw(self.b_w)
-        if isinstance(self.k_terms, bool) or not isinstance(self.k_terms, int):
-            raise ValueError("k_terms must be an integer")
-        if self.k_terms < 1:
-            raise ValueError("k_terms must be >= 1")
+        arch._require_count(self.k_terms, "k_terms")
         if self.k_terms > self.b_w - 1:
             raise ValueError("k_terms must be <= b_w - 1 (one sign bit reserved)")
 

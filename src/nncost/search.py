@@ -547,7 +547,14 @@ def task_from_json(doc: dict) -> Task:
                                        f"2**20 = {MAX_SAMPLES}")
     if type(seed) is not int or seed < 0:
         raise SchemaError("seed", "must be an integer >= 0")
-    return synth_task_fir(taps, noise_std, n_samples, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        task = synth_task_fir(taps, noise_std, n_samples, seed)
+        if np.isfinite(task.inputs).all():
+            return task
+        filtered = synth_task_fir(taps, 0.0, n_samples, seed).inputs
+    if not np.isfinite(filtered).all():  # the same symbols, no noise
+        raise SchemaError("taps", "must keep the filtered symbols finite")
+    raise SchemaError("noise_std", "must keep the received stream finite")
 
 
 @dataclass(frozen=True)
@@ -658,19 +665,6 @@ def kfold_score(task: Task, net: NetworkSpec, k: int = 5,
         pred = design[test] @ beta
         mses.append(_mean((pred - task.targets[test]) ** 2))
     return -_mean(mses)
-
-
-def evaluate_arch(task: Task, net: NetworkSpec, k: int = 5, seed: int = 0,
-                  bits: BitwidthConfig | None = None,
-                  scheme: quant.QuantScheme | None = None) -> bayesopt.Trial:
-    """Score an architecture and bundle it with its cost totals."""
-    bits = bits or BitwidthConfig()
-    scheme = scheme or quant.FixedUniform(bits.b_w)
-    score = kfold_score(task, net, k=k, seed=seed)
-    report = costmodel.cost_report(net, bits, scheme)
-    return bayesopt.Trial(theta=np.zeros(0), score=score,
-                          cost={"rm": report.rm, "bop": report.bop,
-                                "nabs": report.nabs})
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ class TestKernel:
                 assert kernel(X[i], X[j], params) == K[i, j]
 
 
+@pytest.mark.kernel
 class TestKernelMatrixMatchesReference:
     @staticmethod
     def reference(A, B, signal_var, ell):
@@ -199,6 +200,7 @@ def reference_expected_improvement(mu, sigma, f_plus):
     return ei
 
 
+@pytest.mark.kernel
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestPosteriorMatchesReference:
     """``gp_fit``, ``gp_predict`` and ``expected_improvement`` round every

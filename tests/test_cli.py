@@ -344,6 +344,21 @@ class TestInputErrors:
         assert f"error: {field}: must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["search", "sweep"])
+    @pytest.mark.parametrize("field, value, what", [
+        ("taps", [1e308, 1e308], "the filtered symbols"),
+        ("noise_std", 1e308, "the received stream"),
+    ], ids=["taps", "noise_std"])
+    def test_overflowing_stream_exit_2(self, command, field, value, what,
+                                       space_file, tmp_path, capsys):
+        """Finite fields whose received stream overflows: an input error,
+        with no numpy warning on stderr."""
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({**TASK, field: value}))
+        assert main(_argv(command, space_file, task)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field}: must keep {what} finite\n")
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
     @pytest.mark.parametrize("field", ["dimensions", "template"])
     def test_missing_space_field_exit_2(self, command, field, space_file,
                                         task_file, tmp_path, capsys):

@@ -174,6 +174,11 @@ class TestCostReport:
         net = NetworkSpec("m", (Dense(10, 5), Dense(3, 10)))
         assert cost_report(net, BITS8, UNIFORM8).rm == 50 + 30
 
+    def test_rm_monotone_in_neurons(self):
+        small = cost_report(NetworkSpec("m", (Dense(3, 2),)), BITS8, UNIFORM8)
+        large = cost_report(NetworkSpec("m", (Dense(9, 2),)), BITS8, UNIFORM8)
+        assert large.rm >= small.rm
+
     def test_invalid_network_raises(self):
         net = NetworkSpec("m", (Dense(10, 5), Dense(3, 7)))
         with pytest.raises(ValidationError):

@@ -10,10 +10,12 @@ same final state bits and the same ``OpCounters``, overflows included.
 
 The sweeps depend on how the BLAS kernel rounds each product. So does the
 step's one (G, n_h, n_h) product over all gates' recurrent matrices, which
-the last test holds to the per-gate products directly. To hold a second
-OpenBLAS gemv kernel to the reference, rerun this file with OpenBLAS forced
-to its Prescott kernel, as the CI workflow's Prescott step does; to hold
-numpy's AVX2 loops, whose exp rounds apart from its AVX-512 ones, under
+the last test holds to the per-gate products directly. Each reference step
+reads a fresh copy of x_t, as the interpreter's aligned one-row products
+do. Every test here is marked ``kernel``: to hold a second OpenBLAS kernel
+or numpy's AVX2 loops (whose exp rounds apart from their AVX-512 ones) to
+the reference, run ``python -m pytest -m kernel`` under, say,
+``OPENBLAS_CORETYPE=Prescott`` or
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``.
 """
 
@@ -24,6 +26,8 @@ from nncost import arch, costmodel, interp, quant
 from nncost.arch import GRU, LSTM, BitwidthConfig, EchoState, VanillaRNN
 from nncost.interp import (CellState, FixedPoint, OpCounters, random_weights,
                            run_batches, run_layer)
+
+pytestmark = pytest.mark.kernel
 
 # ---------------------------------------------------------------------------
 # Frozen reference: the per-gate steps, verbatim apart from being functions
@@ -217,7 +221,7 @@ def reference_run(spec, weights, x, mode="float", init_state=None,
                 else np.array(given, dtype=float))
     outs = np.empty((x.shape[0], kind.output_width(spec)))
     for t in range(x.shape[0]):
-        outs[t] = step(x[t], state)
+        outs[t] = step(x[t].copy(), state)  # a fresh, aligned x_t
         if state_trace is not None:
             state_trace.append(getattr(state, kind.readout).copy())
     return outs, state, counters

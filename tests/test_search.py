@@ -17,7 +17,7 @@ from nncost.cli import main
 from nncost.errors import (DomainError, InfeasibleSpace, NNCostError,
                            SchemaError)
 from nncost.search import (Dimension, SearchSpace, Task, complexity_sweep,
-                           evaluate_arch, featurize, kfold_score, kfold_split,
+                           featurize, kfold_score, kfold_split,
                            synth_task_fir, task_from_json)
 
 
@@ -252,26 +252,6 @@ class TestKFoldScore:
         assert a == b
 
 
-class TestEvaluateArch:
-    def test_bundles_score_and_cost(self):
-        task = synth_task_fir([1.0], 0.0, 40, seed=0)
-        net = NetworkSpec("m", (Dense(4, 2, activation="tanh"),))
-        trial = evaluate_arch(task, net, k=4, seed=0)
-        report = costmodel.cost_report(net, search.BitwidthConfig(),
-                                       search.quant.FixedUniform(8))
-        assert trial.cost == {"rm": report.rm, "bop": report.bop,
-                              "nabs": report.nabs}
-        assert np.isfinite(trial.score)
-
-    def test_rm_monotone_in_neurons(self):
-        task = synth_task_fir([1.0], 0.0, 40, seed=0)
-        small = evaluate_arch(task, NetworkSpec("m", (Dense(3, 2),)), k=4,
-                              seed=0)
-        large = evaluate_arch(task, NetworkSpec("m", (Dense(9, 2),)), k=4,
-                              seed=0)
-        assert large.cost["rm"] >= small.cost["rm"]
-
-
 class TestSpace:
     def test_decode_and_build(self):
         space = esn_space()
@@ -463,6 +443,7 @@ class TestCostMemo:
             assert len(space._costs) <= 40
         assert len(space._costs) == 40
 
+    @pytest.mark.kernel
     def test_criterion_10_sweep_csv_pinned(self):
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
         csv = complexity_sweep(dense_space(), task, [100, 500, 2000, 10_000],
@@ -470,6 +451,7 @@ class TestCostMemo:
         assert sha256(csv) == ("6ec1508fe786a43455538e9c49f7e0cb"
                                "7327f0b2463643337b11cb514b5b5a78")
 
+    @pytest.mark.kernel
     def test_search_history_csv_pinned(self, tmp_path):
         space = tmp_path / "space.json"
         task = tmp_path / "task.json"
@@ -874,6 +856,7 @@ class TestParseScheme:
 
 
 class TestRecurrentSearchPinned:
+    @pytest.mark.kernel
     def test_lstm_gru_search_history_csv_pinned(self, tmp_path):
         space = tmp_path / "space.json"
         task = tmp_path / "task.json"
@@ -937,6 +920,7 @@ CONV = arch.Conv1D(n_f=2, n_i=3, n_k=3, n_s=5, padding=1, dilation=2,
 ESN = EchoState(n_i=3, N_r=12, s_p=0.3, n_o=2, n_s=8, leak=0.6)
 
 
+@pytest.mark.kernel
 class TestFeaturizeMatchesReference:
     @pytest.mark.parametrize("layers", [
         (Dense(5, 3),),
@@ -963,6 +947,7 @@ class TestFeaturizeMatchesReference:
                                           want.view(np.uint64))
 
 
+@pytest.mark.kernel
 class TestKFoldScoreMatchesReference:
     @pytest.mark.parametrize("layers", [
         (Dense(5, 3),),
@@ -1056,6 +1041,7 @@ def fresh_verdicts(space, rows, budgets):
     return fresh, verdicts
 
 
+@pytest.mark.kernel
 class TestIndexTableMatchesDistinctRows:
     """``screen`` on all-int/cat spaces gives every distinct row the verdict
     of that row costed afresh, over pools that repeat, overlap and are
@@ -1159,6 +1145,7 @@ class TestLookupsPerSpace:
     @pytest.mark.parametrize("make", [lambda: esn_space(budget=60_000),
                                       lambda: log_space(budget=30_020)],
                              ids=["int-float", "int-logfloat"])
+    @pytest.mark.kernel
     def test_float_pool_with_repeats(self, make, monkeypatch):
         """A float pool that repeats its rows costs each architecture once,
         and every row's verdict is that row costed afresh."""
