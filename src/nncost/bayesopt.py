@@ -19,6 +19,15 @@ before giving up. These fixed heuristics interpolate exactly at observed
 points when the jitter is the only noise, which is all that desk-scale
 hyperparameter search needs; marginal-likelihood fitting is out of scope.
 
+Each fit also forms the inverse L_inv of its Cholesky factor, once. A
+round's posterior variance at m pool rows is then one (n, n) by (n, m)
+product, where a solve with the factor would LU-factor it again and
+substitute through every row: over ten times the cost at m = 2048 and the
+3 to 24 distinct trials n a search observes. The variance moves from the
+solve's by rounding only, by at most 1e-7 of the signal variance
+(near-duplicate points at a signal variance of 1e9 included), as the tests
+hold.
+
 At sigma = 0 the expected improvement uses the analytic limit
 max(mu - best, 0), which keeps the acquisition nonnegative everywhere.
 """
@@ -79,12 +88,17 @@ class GPParams:
 
 @dataclass
 class GPModel:
+    """A fitted GP: the distinct observed points X, the centred scores'
+    weights alpha = (K + jitter I)^-1 (y - y_mean), and the inverse L_inv of
+    the Cholesky factor of K + jitter I, formed once per fit so that each
+    pool's posterior variance is one product with it."""
+
     X: np.ndarray
     y_mean: float
     signal_var: float
     length_scales: np.ndarray
     jitter: float
-    L: np.ndarray = field(repr=False)
+    L_inv: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
 
 
@@ -196,13 +210,17 @@ def gp_fit(trials, params: GPParams | None = None) -> GPModel:
     alpha = cho_solve(yc)
     alpha += cho_solve(yc - Kj @ alpha)  # one refinement step
     return GPModel(X=X, y_mean=y_mean, signal_var=signal_var,
-                   length_scales=ell, jitter=jitter, L=L, alpha=alpha)
+                   length_scales=ell, jitter=jitter,
+                   L_inv=np.linalg.solve(L, np.eye(len(X))), alpha=alpha)
 
 
 def gp_predict(model: GPModel, theta):
     """Posterior mean and standard deviation at theta (point or batch).
 
-    A single point returns floats; an (m, d) batch returns arrays.
+    A single point returns floats; an (m, d) batch returns arrays. The
+    variance is signal_var - |L_inv k*|^2 with the fit's inverse factor, one
+    product for the whole batch and no LAPACK call; it lies within 1e-7
+    signal_var of the one a solve with the factor gives.
     """
     theta = np.asarray(theta, dtype=float)
     single = theta.ndim == 1
@@ -215,7 +233,7 @@ def gp_predict(model: GPModel, theta):
                             model.length_scales)
     mu = k_star @ model.alpha
     mu += model.y_mean
-    v = np.linalg.solve(model.L, k_star.T)
+    v = model.L_inv @ k_star.T
     # signal_var - sum(v * v, axis=0), clipped at 0, square-rooted
     sigma = np.add.reduce(np.square(v, out=v), axis=0)
     np.subtract(model.signal_var, sigma, out=sigma)

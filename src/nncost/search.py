@@ -512,17 +512,27 @@ class Task:
 
 
 def synth_task_fir(taps, noise_std: float, n_samples: int, seed: int) -> Task:
-    """Symbol recovery through a FIR channel with additive Gaussian noise."""
-    if noise_std < 0:
+    """Symbol recovery through a FIR channel with additive Gaussian noise.
+
+    Raises DomainError when the taps or the noise overflow the received
+    stream; each message starts with the argument at fault.
+    """
+    if not noise_std >= 0:  # NaN too
         raise DomainError("noise_std must be >= 0")
     taps = list(map(float, taps))
     if not taps:
         raise DomainError("taps must be nonempty")
     rng = np.random.default_rng(seed)
     symbols = rng.integers(0, 2, size=n_samples) * 2.0 - 1.0
-    received = fir_filter(taps, symbols)
-    if noise_std > 0:
-        received = received + noise_std * rng.standard_normal(n_samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        received = fir_filter(taps, symbols)
+        if not np.isfinite(received).all():
+            raise DomainError("taps must keep the filtered symbols finite")
+        if noise_std > 0:
+            received = received + noise_std * rng.standard_normal(n_samples)
+            if not np.isfinite(received).all():
+                raise DomainError(
+                    "noise_std must keep the received stream finite")
     return Task(inputs=received, targets=symbols)
 
 
@@ -547,14 +557,11 @@ def task_from_json(doc: dict) -> Task:
                                        f"2**20 = {MAX_SAMPLES}")
     if type(seed) is not int or seed < 0:
         raise SchemaError("seed", "must be an integer >= 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        task = synth_task_fir(taps, noise_std, n_samples, seed)
-        if np.isfinite(task.inputs).all():
-            return task
-        filtered = synth_task_fir(taps, 0.0, n_samples, seed).inputs
-    if not np.isfinite(filtered).all():  # the same symbols, no noise
-        raise SchemaError("taps", "must keep the filtered symbols finite")
-    raise SchemaError("noise_std", "must keep the received stream finite")
+    try:
+        return synth_task_fir(taps, noise_std, n_samples, seed)
+    except DomainError as exc:  # an overflow, named by its first word
+        field, _, message = str(exc).partition(" ")
+        raise SchemaError(field, message) from None
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,8 @@ def bits(x):
 def reference_gp_fit(trials, params=None):
     """``gp_fit`` as first written, from its collapse of duplicate points
     on: K + jitter I formed once for each Cholesky attempt and again for
-    the refinement step."""
+    the refinement step. Returns the jitter, the Cholesky factor L, its
+    inverse as the solve of L against the identity, and alpha."""
     params = params or GPParams()
     best = {}
     for t in trials:
@@ -170,18 +171,28 @@ def reference_gp_fit(trials, params=None):
 
     alpha = cho_solve(yc)
     alpha += cho_solve(yc - Kj @ alpha)
-    return jitter, L, alpha
+    return jitter, L, np.linalg.solve(L, np.eye(X.shape[0])), alpha
 
 
 def reference_gp_predict(model, pts):
-    """``gp_predict`` of an (m, d) batch as first written."""
+    """``gp_predict`` of an (m, d) batch as a plain expression."""
     k_star = TestKernelMatrixMatchesReference.reference(
         pts, model.X, model.signal_var, model.length_scales)
     mu = model.y_mean + k_star @ model.alpha
-    v = np.linalg.solve(model.L, k_star.T)
+    v = model.L_inv @ k_star.T
     var = model.signal_var - np.sum(v * v, axis=0)
     var = np.maximum(var, 0.0)
     return mu, np.sqrt(var)
+
+
+def solve_gp_predict(model, L, pts):
+    """``gp_predict`` of an (m, d) batch as first written: the variance
+    from a solve with the Cholesky factor L for every row."""
+    k_star = TestKernelMatrixMatchesReference.reference(
+        pts, model.X, model.signal_var, model.length_scales)
+    mu = model.y_mean + k_star @ model.alpha
+    v = np.linalg.solve(L, k_star.T)
+    return mu, np.maximum(model.signal_var - np.sum(v * v, axis=0), 0.0)
 
 
 def reference_expected_improvement(mu, sigma, f_plus):
@@ -244,10 +255,10 @@ class TestPosteriorMatchesReference:
             attempts.clear()
             model = gp_fit(trials, params)
             attempts.clear()
-            jitter, L, alpha = reference_gp_fit(trials, params)
+            jitter, _, L_inv, alpha = reference_gp_fit(trials, params)
             assert model.jitter == jitter
             assert jitter > params.jitter * 10 ** failures / 2
-            np.testing.assert_array_equal(bits(model.L), bits(L))
+            np.testing.assert_array_equal(bits(model.L_inv), bits(L_inv))
             np.testing.assert_array_equal(bits(model.alpha), bits(alpha))
 
     def test_predict_and_ei(self):
@@ -272,6 +283,22 @@ class TestPosteriorMatchesReference:
                         bits(expected_improvement(mu, sigma, best)),
                         bits(reference_expected_improvement(mu, sigma, best)))
         assert zero and mixed and positive
+
+    @pytest.mark.parametrize("seed", range(50, 60))
+    def test_variance_near_solve(self, seed):
+        """The inverse factor's variance against the solve's: the mean
+        bitwise, the variance within 1e-7 signal_var, near-duplicate
+        points at a signal variance of 1e9 included."""
+        for rng, X, trials, params in self.models(seed):
+            model = gp_fit(trials, params)
+            _, L, _, _ = reference_gp_fit(trials, params)
+            pool = rng.uniform(-0.2, 1.2, size=(300, X.shape[1]))
+            pool[::7][:len(X)] = X[:len(pool[::7])]
+            mu, sigma = gp_predict(model, pool)
+            want_mu, want_var = solve_gp_predict(model, L, pool)
+            np.testing.assert_array_equal(bits(mu), bits(want_mu))
+            assert np.abs(sigma ** 2 - want_var).max() <= (
+                1e-7 * model.signal_var)
 
     @pytest.mark.parametrize("zeros", ["none", "some", "all"])
     def test_ei_drawn(self, zeros):
@@ -343,8 +370,25 @@ class TestGP:
         K = bayesopt._kernel_matrix(model.X, model.X, model.signal_var,
                                     model.length_scales)
         K += model.jitter * np.eye(15)
-        residual = np.linalg.norm(model.L @ model.L.T - K) / np.linalg.norm(K)
-        assert residual <= 1e-8
+        residual = np.linalg.norm(model.L_inv @ K @ model.L_inv.T - np.eye(15))
+        assert residual <= 1e-12
+
+    def test_predict_calls_no_linalg(self, monkeypatch):
+        """A pool's posterior is products with the fit's arrays: no
+        factorization, solve or inverse runs per round."""
+        rng = np.random.default_rng(3)
+        X = rng.uniform(size=(12, 2))
+        model = gp_fit([Trial(theta=x, score=float(rng.normal()))
+                        for x in X])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gp_predict called np.linalg")
+
+        for name in ("solve", "inv", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        mu, sigma = gp_predict(model, rng.uniform(size=(2048, 2)))
+        assert mu.shape == sigma.shape == (2048,)
+        assert isinstance(gp_predict(model, X[0])[1], float)
 
     def test_duplicate_thetas_keep_best(self):
         trials = [trial(0.5, 1.0), trial(0.5, 4.0), trial(0.2, 2.0)]

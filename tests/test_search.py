@@ -171,6 +171,23 @@ class TestSynthTask:
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.targets, b.targets)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("taps, noise_std, message", [
+        ([1e308, 1e308], 0.0, "taps must keep the filtered symbols finite"),
+        ([1e308, 1e308], 1e308, "taps must keep the filtered symbols finite"),
+        ([float("inf")], 0.0, "taps must keep the filtered symbols finite"),
+        ([1.0], 1e308, "noise_std must keep the received stream finite"),
+        ([1e308], 1e308, "noise_std must keep the received stream finite"),
+        ([1.0], float("inf"), "noise_std must keep the received stream finite"),
+        ([1.0], float("nan"), "noise_std must be >= 0"),
+    ])
+    def test_overflow_is_domain_error(self, taps, noise_std, message):
+        """A stream that overflows, from the filter or from the noise, is
+        rejected at once, with no numpy warning."""
+        with pytest.raises(DomainError) as info:
+            synth_task_fir(taps, noise_std, 60, 3)
+        assert str(info.value) == message
+
     def test_json_roundtrip(self):
         task = task_from_json({"taps": [0.9, 0.1], "noise_std": 0.05,
                                "n_samples": 32, "seed": 2})
