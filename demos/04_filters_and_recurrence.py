@@ -39,18 +39,19 @@ rw = interp.RNNWeights(W=np.array([[1.0]]), U=np.array([[0.5]]),
 h_seq, _, _ = nc.run_layer(rnn, rw, np.array([[1.0], [0.0], [0.0], [0.0]]))
 print("linear 1-unit recurrence:", h_seq[:, 0])
 
-# Stateful vs stateless batch handling. Stateless resets the hidden state
-# per batch; stateful carries it across, so two stateful batches equal one
-# run over their concatenation.
+# Stateful vs stateless batch handling. A stateless run starts every batch
+# from zero state; a stateful one passes each call's returned state to the
+# next as init_state, so two chained batches equal one run over their
+# concatenation.
 spec = nc.GRU(n_i=2, n_h=6, n_s=8)
 gw = interp.random_weights(spec, 9)
 b1, b2 = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
-stateful, _ = nc.run_batches(spec, gw, [b1, b2], "stateful")
-whole, _ = nc.run_batches(spec, gw, [np.vstack([b1, b2])], "stateless")
+out1, state, _ = nc.run_layer(spec, gw, b1)
+out2, _, _ = nc.run_layer(spec, gw, b2, init_state=state)
+whole, _, _ = nc.run_layer(spec, gw, np.vstack([b1, b2]))
 print("stateful == concatenated run:",
-      np.allclose(np.vstack(stateful), whole[0], atol=1e-12))
+      np.allclose(np.vstack([out1, out2]), whole, atol=1e-12))
 
-stateless, _ = nc.run_batches(spec, gw, [b1, b2], "stateless")
-swapped, _ = nc.run_batches(spec, gw, [b2, b1], "stateless")
-print("stateless outputs ignore batch order:",
-      np.allclose(stateless[0], swapped[1]))
+nc.run_layer(spec, gw, b2)  # stateless: b1 now runs after b2
+after_b2, _, _ = nc.run_layer(spec, gw, b1)
+print("stateless outputs ignore batch order:", np.allclose(out1, after_b2))

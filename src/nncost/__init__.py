@@ -9,7 +9,7 @@ from .bayesopt import (GPParams, Trial, bo_optimize, expected_improvement,
 from .costmodel import (CostReport, acc_bits, bop_layer, cost_report,
                         mult_bits, nabs_layer, nenb, rm_layer)
 from .interp import (FixedPoint, OpCounters, audit, fir_filter, iir_filter,
-                     random_weights, run_batches, run_layer)
+                     random_weights, run_layer)
 from .quant import (APoT, FixedUniform, Float, PoT, cluster_weights,
                     effective_rm, magnitude_prune, quantize_apot,
                     quantize_pot, quantize_uniform, x_w)
@@ -29,6 +29,6 @@ __all__ = [
     "kfold_score", "kfold_split", "magnitude_prune", "mult_bits",
     "nabs_layer", "nenb", "parse_spec", "propose_next", "quantize_apot",
     "quantize_pot", "quantize_uniform", "random_weights", "rm_layer",
-    "run_batches", "run_layer", "serialize", "synth_task_fir",
+    "run_layer", "serialize", "synth_task_fir",
     "validate_network", "x_w",
 ]

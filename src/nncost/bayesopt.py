@@ -121,48 +121,28 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, signal_var: float,
                    ell: np.ndarray) -> np.ndarray:
     # One (m, n) plane of squared scaled differences per dimension, summed
     # in np.add.reduce's order: bitwise the sum over the last axis of the
-    # (m, n, d) array of differences, without numpy's inner loop running
-    # over runs of length d. Each step runs in place, and every rounding
-    # is the one of signal_var * exp(-0.5 * sum_j ((A_j - B_j) / ell_j)
-    # ** 2).
+    # (m, n, d) array of differences. Below 8 terms that order is one by
+    # one, in place, without numpy's inner loop running over runs of
+    # length d; from 8 on it is pairwise, and the stacked planes are
+    # reduced. Every rounding is the one of
+    # signal_var * exp(-0.5 * sum_j ((A_j - B_j) / ell_j) ** 2).
     planes = []
     for j in range(A.shape[1]):
         plane = A[:, j, None] - B[None, :, j]
         plane /= ell[j]
         planes.append(np.square(plane, out=plane))
-    sq = _reduce_sum(planes) if planes else np.zeros((len(A), len(B)))
+    if not planes:
+        sq = np.zeros((len(A), len(B)))
+    elif len(planes) < 8:
+        sq = planes[0]
+        for plane in planes[1:]:
+            sq += plane
+    else:
+        sq = np.add.reduce(np.stack(planes, axis=-1), axis=-1)
     sq *= -0.5
     np.exp(sq, out=sq)
     sq *= signal_var
     return sq
-
-
-def _reduce_sum(terms: list) -> np.ndarray:
-    """Sum of equal-shape arrays, added in the order np.add.reduce adds the
-    elements of a contiguous axis of length len(terms) (its pairwise sum):
-    one by one below 8 terms; up to 128 terms, eight running sums over
-    blocks of 8, combined pairwise, then the leftover terms one by one;
-    above 128, the halves apart, the first rounded down to a multiple of 8.
-    Accumulates into the arrays of ``terms``."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _reduce_sum(terms[:half]) + _reduce_sum(terms[half:])
-    if n < 8:
-        total = terms[0]
-        for term in terms[1:]:
-            total += term
-        return total
-    r = terms[:8]
-    for start in range(8, n - n % 8, 8):
-        for j in range(8):
-            r[j] += terms[start + j]
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        r[a] += r[b]
-    total = r[0]
-    for term in terms[n - n % 8:]:
-        total += term
-    return total
 
 
 def gp_fit(trials, params: GPParams | None = None) -> GPModel:
@@ -343,13 +323,12 @@ def bo_optimize(objective, space, max_iters: int, n_init: int, seed: int = 0,
     if n_init < 1:
         raise DomainError("n_init must be >= 1")
     init_rng = np.random.default_rng([seed, 0])
-    init = _draw_feasible(init_rng, space.n_dims, constraint)
-    pools = 1
+    init, pools = np.empty((0, space.n_dims)), 0
     while init.shape[0] < n_init and pools < 100:
         more = _draw_feasible(init_rng, space.n_dims, constraint)
         init = np.concatenate([init, more])
         pools += 1
-    if init.shape[0] == 0 or init.shape[0] < n_init:
+    if init.shape[0] < n_init:
         raise InfeasibleSpace(
             "could not collect enough feasible initial points")
     history = [_evaluate(objective, theta) for theta in init[:n_init]]

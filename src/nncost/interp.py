@@ -12,7 +12,11 @@ shapes in ``arch.KINDS``, quantize the input in fixed point, build the
 kind's runner (``EXECUTION``), then run it once on a feedforward input, or
 over the whole sequence from a copy of the given or zero state into an
 output buffer. Only the runner differs between layer types, and each
-kind's equations are in the docstring of its weights class.
+kind's equations are in the docstring of its weights class. A recurrent
+runner takes the state and the output buffer. A kind with its own readout
+(the echo state) also takes the state trace, and appends its readout
+state to it per step; for the other kinds the output row is h, and
+``run_layer`` copies the rows into the trace.
 
 A recurrent runner loops over the time steps itself, and its step is
 fused. Each gate's input products W_g x_t are hoisted out of the time
@@ -389,7 +393,7 @@ class RNNWeights:
                                OpCounters(adds=n, activations=n))
         act, b = _ACTIVATIONS[spec.activation]((n,)), self.b
 
-        def run(state, outs, trace):
+        def run(state, outs):
             matmul, add = np.matmul, np.add
             pre = np.empty((1, n))
             row, h = pre[0], state.h
@@ -398,8 +402,6 @@ class RNNWeights:
                 add(WX, UH, pre)
                 add(pre, b, pre)
                 h = act(row, h_t)
-                if trace is not None:
-                    trace.append(h.copy())
             np.copyto(state.h, h)
         return run
 
@@ -424,7 +426,7 @@ class LSTMWeights:
         act, sigmoid, b = (_ACTIVATIONS[spec.activation]((n,)),
                            _sigmoid((3, n)), self.b)
 
-        def run(state, outs, trace):
+        def run(state, outs):
             matmul, add, multiply = np.matmul, np.add, np.multiply
             pre = np.empty((4, n))
             sigmoids, (i_t, f_t, o_t, cand) = pre[:3], pre
@@ -440,8 +442,6 @@ class LSTMWeights:
                 add(C, cand, C)
                 act(C, h_t)
                 h = multiply(o_t, h_t, h_t)
-                if trace is not None:
-                    trace.append(h.copy())
             np.copyto(state.h, h)
         return run
 
@@ -466,7 +466,7 @@ class GRUWeights:
         act, sigmoid, b = (_ACTIVATIONS[spec.activation]((n,)),
                            _sigmoid((2, n)), self.b)
 
-        def run(state, outs, trace):
+        def run(state, outs):
             matmul, add, subtract, multiply = (np.matmul, np.add,
                                                np.subtract, np.multiply)
             pre, tmp = np.empty((3, n)), np.empty(n)
@@ -485,8 +485,6 @@ class GRUWeights:
                 multiply(tmp, cand, cand)
                 multiply(z_t, h, h_t)
                 h = add(h_t, cand, h_t)
-                if trace is not None:
-                    trace.append(h.copy())
             np.copyto(state.h, h)
         return run
 
@@ -558,10 +556,11 @@ LayerWeights = (DenseWeights | ConvWeights | RNNWeights | LSTMWeights
 # 2-D matrix round differently, a 3-D stack of them does not), hoists
 # recurrent input products and tallies the rest in closed form. A
 # feedforward kind returns ``run()``, which returns its output. A recurrent
-# kind returns ``run(state, outs, trace)``, which loops over every time
-# step: it writes step t's output into row t of ``outs``, appends a copy of
-# the readout state (else h) to ``trace`` unless it is None, and leaves the
-# final state in the ``CellState``, whose vectors belong to the run.
+# kind returns ``run(state, outs)``, which loops over every time step: it
+# writes step t's output (h) into row t of ``outs`` and leaves the final
+# state in the ``CellState``, whose vectors belong to the run. A kind with
+# its own readout returns ``run(state, outs, trace)``, which also appends a
+# copy of its readout state to ``trace`` per step unless it is None.
 EXECUTION = {Dense: DenseWeights, Conv1D: ConvWeights, VanillaRNN: RNNWeights,
              LSTM: LSTMWeights, GRU: GRUWeights, EchoState: ESNWeights}
 _KIND_BY_WEIGHTS = {weights: arch.KINDS[cls]
@@ -570,20 +569,13 @@ _KIND_BY_WEIGHTS = {weights: arch.KINDS[cls]
 
 @dataclass
 class CellState:
-    """Recurrent state carried across steps and, in stateful mode, batches."""
+    """Recurrent state carried across steps and, passed back to
+    ``run_layer`` as ``init_state``, across batches."""
 
     h: np.ndarray | None = None
     C: np.ndarray | None = None
     s: np.ndarray | None = None
     y_prev: np.ndarray | None = None
-
-
-def zero_state(spec) -> CellState:
-    """All-zero state of a recurrent layer; TypeError for a feedforward one."""
-    state = arch.layer_kind(spec).state(spec)
-    if not state:
-        raise TypeError(f"no recurrent state for {spec!r}")
-    return CellState(**{n: np.zeros(shape) for n, shape in state.items()})
 
 
 def random_weights(spec, seed) -> LayerWeights:
@@ -687,10 +679,12 @@ def run_layer(spec, weights, x, mode: Mode = "float",
     fixed-point input scale for the batch, convolutions run input by input.
     A recurrent layer runs a sequence of any length (the analytic count
     takes ``spec.n_s``) from ``init_state``; state vectors it leaves out
-    start at 0. ``feedback`` turns on echo-state output feedback; other
-    kinds ignore it. A ``state_trace`` list receives a copy of the readout
-    state (else h) after every step. ``init_state`` or ``state_trace`` for
-    a feedforward layer is a TypeError.
+    start at 0, so a stateful run over consecutive batches passes each
+    call's returned state to the next. ``feedback`` turns on echo-state
+    output feedback; other kinds ignore it. A ``state_trace`` list receives
+    a copy of the readout state (else h, the output row) after every step.
+    ``init_state`` or ``state_trace`` for a feedforward layer is a
+    TypeError.
     """
     if not (isinstance(mode, FixedPoint) or mode == "float"):
         raise DomainError(f"mode must be 'float' or FixedPoint: {mode!r}")
@@ -715,7 +709,12 @@ def run_layer(spec, weights, x, mode: Mode = "float",
         setattr(state, name, np.zeros(shape) if given is None
                 else np.array(given, dtype=float))
     outs = np.empty((x.shape[0], kind.output_width(spec)))
-    run(state, outs, state_trace)
+    if kind.readout:
+        run(state, outs, state_trace)
+    else:
+        run(state, outs)
+        if state_trace is not None:
+            state_trace.extend(h.copy() for h in outs)
     return outs, state, counters
 
 
@@ -750,34 +749,6 @@ def run_stream(spec, weights, stream) -> tuple[np.ndarray, np.ndarray]:
         (n,) + nominal[:-1] + (width,)))
     outputs = outputs.reshape(n, -1)
     return outputs, outputs
-
-
-def run_batches(spec, weights, batches, state_mode: str = "stateless",
-                mode: Mode = "float", feedback: bool = False
-                ) -> tuple[list, OpCounters]:
-    """Run a recurrent layer over a list of input sequences.
-
-    stateless: state resets to zero before every batch. stateful: the final
-    state of batch j seeds batch j+1, so a stateful run over consecutive
-    batches equals one run over their concatenation.
-    """
-    if state_mode not in ("stateless", "stateful"):
-        raise ValueError("state_mode must be 'stateless' or 'stateful'")
-    if not batches:
-        raise ValueError("batches must be nonempty")
-    if not arch.layer_kind(spec).state(spec):
-        raise TypeError(f"run_batches requires a recurrent layer, "
-                        f"got {layer_type_name(spec)}")
-    counters = OpCounters()
-    outputs = []
-    state = None  # zero
-    for batch in batches:
-        out, state, c = run_layer(spec, weights, batch, mode,
-                                  state if state_mode == "stateful" else None,
-                                  feedback)
-        counters.merge(c)
-        outputs.append(out)
-    return outputs, counters
 
 
 # ---------------------------------------------------------------------------

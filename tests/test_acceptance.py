@@ -19,7 +19,7 @@ from nncost.bayesopt import CubeSpace, Trial, bo_optimize, gp_fit, gp_predict
 from nncost.cli import main
 from nncost.costmodel import bop_layer, nabs_layer, rm_layer
 from nncost.interp import (FixedPoint, audit, fir_filter, iir_filter,
-                           random_weights, run_batches, run_layer, zero_state)
+                           random_weights, run_layer)
 
 BITS8 = BitwidthConfig(8, 8, 8)
 
@@ -239,17 +239,16 @@ def test_criterion_8_recurrent_state_semantics():
             w = random_weights(spec, rng)
             b1 = rng.normal(size=(spec.n_s, spec.n_i))
             b2 = rng.normal(size=(spec.n_s, spec.n_i))
-            outs, _ = run_batches(spec, w, [b1, b2], "stateful")
-            whole, _ = run_batches(spec, w, [np.vstack([b1, b2])],
-                                   "stateless")
-            dev = np.max(np.abs(np.vstack(outs) - whole[0]))
+            out1, state, _ = run_layer(spec, w, b1)
+            out2, _, _ = run_layer(spec, w, b2, init_state=state)
+            whole, _, _ = run_layer(spec, w, np.vstack([b1, b2]))
+            dev = np.max(np.abs(np.vstack([out1, out2]) - whole))
             assert dev <= 1e-12
 
             batches = [b1, b2, rng.normal(size=(spec.n_s, spec.n_i))]
-            base, _ = run_batches(spec, w, batches, "stateless")
+            base = [run_layer(spec, w, batch)[0] for batch in batches]
             perm = [2, 0, 1]
-            permuted, _ = run_batches(spec, w, [batches[i] for i in perm],
-                                      "stateless")
+            permuted = [run_layer(spec, w, batches[i])[0] for i in perm]
             for j, i in enumerate(perm):
                 np.testing.assert_array_equal(permuted[j], base[i])
 
@@ -344,3 +343,10 @@ def test_criterion_11_cli_sweep_reproducibility(tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().startswith(
             "budget,metric,best_score,best_theta_json,rm,bop,nabs")
+
+
+def test_package_exports_resolve_once():
+    import nncost
+    assert len(set(nncost.__all__)) == len(nncost.__all__)
+    for name in nncost.__all__:
+        assert hasattr(nncost, name), name

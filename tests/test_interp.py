@@ -16,7 +16,7 @@ from nncost.costmodel import rm_layer
 from nncost.errors import DomainError, EmptyOutput, ShapeError
 from nncost.interp import (CellState, DenseWeights, FixedPoint, OpCounters,
                            audit, fir_filter, iir_filter, random_weights,
-                           run_batches, run_layer, zero_state)
+                           run_layer)
 
 BITS8 = BitwidthConfig(8, 8, 8)
 
@@ -220,17 +220,29 @@ class TestESN:
         assert np.all(per_row == spec.row_nonzeros)
 
 
+def run_chained(spec, weights, batches) -> list:
+    """Stateful outputs of consecutive batches: each ``run_layer`` call
+    starts from the state the previous one returned."""
+    outs, state = [], None
+    for batch in batches:
+        out, state, _ = run_layer(spec, weights, batch, init_state=state)
+        outs.append(out)
+    return outs
+
+
 class TestRunBatches:
+    """Batches run as separate ``run_layer`` calls (stateless) or chained
+    through ``init_state`` (stateful)."""
+
     @pytest.mark.parametrize("spec", [VanillaRNN(2, 3, 5), LSTM(2, 3, 5),
                                       GRU(2, 3, 5)])
     def test_stateless_permutation_invariance(self, spec):
         rng = np.random.default_rng(11)
         w = random_weights(spec, 11)
         batches = [rng.normal(size=(5, 2)) for _ in range(4)]
-        outs, _ = run_batches(spec, w, batches, "stateless")
+        outs = [run_layer(spec, w, batch)[0] for batch in batches]
         perm = [2, 0, 3, 1]
-        outs_p, _ = run_batches(spec, w, [batches[i] for i in perm],
-                                "stateless")
+        outs_p = [run_layer(spec, w, batches[i])[0] for i in perm]
         for j, i in enumerate(perm):
             np.testing.assert_allclose(outs_p[j], outs[i])
 
@@ -243,9 +255,9 @@ class TestRunBatches:
         w = random_weights(spec, 12)
         b1 = rng.normal(size=(5, 2))
         b2 = rng.normal(size=(5, 2))
-        outs, _ = run_batches(spec, w, [b1, b2], "stateful")
-        whole, _ = run_batches(spec, w, [np.vstack([b1, b2])], "stateless")
-        np.testing.assert_allclose(np.vstack(outs), whole[0], atol=1e-12)
+        outs = run_chained(spec, w, [b1, b2])
+        whole, _, _ = run_layer(spec, w, np.vstack([b1, b2]))
+        np.testing.assert_allclose(np.vstack(outs), whole, atol=1e-12)
 
     def test_zero_recurrence_makes_modes_equal(self):
         spec = VanillaRNN(2, 3, 4)
@@ -253,16 +265,10 @@ class TestRunBatches:
         w.U[:] = 0.0
         rng = np.random.default_rng(13)
         batches = [rng.normal(size=(4, 2)) for _ in range(3)]
-        a, _ = run_batches(spec, w, batches, "stateless")
-        b, _ = run_batches(spec, w, batches, "stateful")
+        a = [run_layer(spec, w, batch)[0] for batch in batches]
+        b = run_chained(spec, w, batches)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-
-    def test_rejects_feedforward(self):
-        spec = Dense(2, 2)
-        w = random_weights(spec, 14)
-        with pytest.raises(TypeError):
-            run_batches(spec, w, [np.ones(2)], "stateless")
 
 
 class TestFilters:
@@ -581,18 +587,16 @@ class TestBufferOwnership:
         spec, weights, _, x = self.setup_run(kind, activation)
         batches = [x[:2], x[2:]]
         saved = copy.deepcopy(batches)
-        outs, _ = run_batches(spec, weights, batches, "stateful")
-        assert not np.shares_memory(outs[0], outs[1])
-        state = None
-        for out, batch, kept in zip(outs, batches, saved):
-            np.testing.assert_array_equal(batch, kept)
+        outs, state = [], None
+        for batch, kept in zip(batches, saved):
             given = copy.deepcopy(state)
-            want, final, _ = run_layer(spec, weights, batch,
-                                       init_state=state)
+            out, final, _ = run_layer(spec, weights, batch, init_state=state)
+            np.testing.assert_array_equal(batch, kept)
             if state is not None:
                 assert_same_state(state, given)
-            np.testing.assert_array_equal(out, want)
+            outs.append(out)
             state = final
+        assert not np.shares_memory(outs[0], outs[1])
 
     def test_state_trace_entries_distinct(self, kind, activation):
         spec, weights, init, x = self.setup_run(kind, activation)
@@ -658,10 +662,8 @@ class TestShapeChecks:
         rng = np.random.default_rng(32)
         w = random_weights(spec, rng)
         x = interp._nominal_input(spec, rng)
-        for name, value in vars(zero_state(spec)).items():
-            if value is None:
-                continue
-            state = CellState(**{name: np.zeros(value.size + 1)})
+        for name, (size,) in arch.layer_kind(spec).state(spec).items():
+            state = CellState(**{name: np.zeros(size + 1)})
             with pytest.raises(ShapeError, match=f"init_state.{name}"):
                 run_layer(spec, w, x, init_state=state)
 
@@ -989,7 +991,3 @@ class TestExecutionConfig:
         spec = Dense(2, 3)
         with pytest.raises(DomainError, match="mode must be"):
             run_layer(spec, random_weights(spec, 0), np.ones(3), mode)
-        cell = GRU(3, 2, 4)
-        with pytest.raises(DomainError, match="mode must be"):
-            run_batches(cell, random_weights(cell, 0), [np.ones((4, 3))],
-                        mode=mode)

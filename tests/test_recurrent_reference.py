@@ -25,7 +25,7 @@ import pytest
 from nncost import arch, costmodel, interp, quant
 from nncost.arch import GRU, LSTM, BitwidthConfig, EchoState, VanillaRNN
 from nncost.interp import (CellState, FixedPoint, OpCounters, random_weights,
-                           run_batches, run_layer)
+                           run_layer)
 
 pytestmark = pytest.mark.kernel
 
@@ -333,21 +333,22 @@ def test_sequence_lengths_bitwise_equal(kind, steps):
 @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
 def test_stateful_batches_bitwise_equal(kind, mode):
-    """Stateful ``run_batches``: each batch starts from the reference's
-    final state of the previous one, with its own input scale."""
+    """A ``run_layer`` chain: each batch starts from the final state of the
+    previous one, with its own input scale, as in the reference's chain."""
     rng = np.random.default_rng([11, KINDS.index(kind)])
     for n_h, n_i in ((3, 2), (12, 5), (40, 11)):
         spec = make_spec(kind, n_i, n_h, "sigmoid")
         weights = random_weights(spec, rng)
         batches = [rng.uniform(-1.0, 1.0, (n, n_i)) for n in (5, 1, 0, 4)]
         for feedback in ((False, True) if kind is EchoState else (False,)):
-            outs, counters = run_batches(spec, weights, batches, "stateful",
-                                         mode, feedback)
-            want_counters = OpCounters()
-            state = None
-            for out, batch in zip(outs, batches):
-                want, state, c = reference_run(spec, weights, batch, mode,
-                                               state, feedback)
+            counters, want_counters = OpCounters(), OpCounters()
+            state = want_state = None
+            for batch in batches:
+                out, state, c = run_layer(spec, weights, batch, mode, state,
+                                          feedback)
+                counters.merge(c)
+                want, want_state, c = reference_run(
+                    spec, weights, batch, mode, want_state, feedback)
                 want_counters.merge(c)
                 assert_same_bits(out, want)
             assert counters == want_counters
