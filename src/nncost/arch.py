@@ -375,19 +375,16 @@ class Violation:
 
 
 def validate_network(net: NetworkSpec) -> list[Violation]:
-    """Check width chaining and usable convolution widths.
+    """Check width chaining and that every layer emits features.
 
     Returns an empty list iff the network is structurally sound; each
     violation names the layer index and the broken rule.
     """
     violations = []
     for index, layer in enumerate(net.layers):
-        if isinstance(layer, Conv1D) and layer.output_size == 0:
-            violations.append(Violation(
-                index, "zero-output-width",
-                f"dilated kernel span {layer.dilation * (layer.n_k - 1) + 1} "
-                f"admits no placement on padded input "
-                f"{layer.n_s + 2 * layer.padding}"))
+        if output_width(layer) == 0:
+            violations.append(Violation(index, "zero-output-width",
+                                        f"{layer!r} emits no features"))
         if index > 0:
             produced = output_width(net.layers[index - 1])
             consumed = layer.n_i

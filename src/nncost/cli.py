@@ -27,7 +27,7 @@ import tempfile
 
 from . import bayesopt, costmodel, interp, search
 from .arch import BitwidthConfig, parse_spec
-from .errors import (InfeasibleSpace, NNCostError, SchemaError,
+from .errors import (EmptyOutput, InfeasibleSpace, NNCostError, SchemaError,
                      SpecSyntaxError, ValidationError)
 
 
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, SpecSyntaxError, SchemaError,
-            ValidationError) as exc:
+            ValidationError, EmptyOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleSpace as exc:

@@ -29,7 +29,7 @@ class ShapeError(NNCostError):
 
 
 class EmptyOutput(NNCostError):
-    """Convolution configuration admits no valid kernel placement."""
+    """Layer emits no features: a convolution with no kernel placement."""
 
 
 class ValidationError(NNCostError):

@@ -29,7 +29,8 @@ Counts are closed form: the per-step tally times the number of steps. The
 gates are never stacked into one 2-D (G n_h, n) matrix, whose product BLAS
 rounds apart from the per-gate products.
 
-A recurrent run also allocates nothing per step. Its ufuncs, gate,
+A recurrent run allocates nothing per step, except that an echo-state
+run given a trace appends a copy of s to it each step. Its ufuncs, gate,
 exponent and candidate buffers and their views are bound once per run;
 each step writes through ufunc outputs, its last ufunc writes h straight
 into the step's output row, where the next step reads it, and the other
@@ -354,9 +355,6 @@ class ConvWeights:
 
     def stepper(self, spec: Conv1D, x, mode, in_scale, counters, feedback):
         out_w = spec.output_size
-        if out_w == 0:
-            raise EmptyOutput("no valid kernel placement for this "
-                              "configuration")
         kernel = _CountedMatrix(
             self.kernels.reshape(spec.n_f, spec.n_k * spec.n_i), mode)
         starts = np.arange(out_w) * spec.stride
@@ -684,7 +682,8 @@ def run_layer(spec, weights, x, mode: Mode = "float",
     output feedback; other kinds ignore it. A ``state_trace`` list receives
     a copy of the readout state (else h, the output row) after every step.
     ``init_state`` or ``state_trace`` for a feedforward layer is a
-    TypeError.
+    TypeError, and a layer that emits no features (``output_width`` 0: a
+    convolution with no kernel placement) is EmptyOutput.
     """
     if not (isinstance(mode, FixedPoint) or mode == "float"):
         raise DomainError(f"mode must be 'float' or FixedPoint: {mode!r}")
@@ -699,6 +698,9 @@ def run_layer(spec, weights, x, mode: Mode = "float",
     counters = OpCounters()
     x, in_scale = (_quantize_operand(x, mode.bits.b_i)
                    if isinstance(mode, FixedPoint) else (x, None))
+    width = kind.output_width(spec)
+    if width == 0:
+        raise EmptyOutput(f"{spec!r} emits no features")
     run = EXECUTION[type(spec)].stepper(weights, spec, x, mode, in_scale,
                                         counters, feedback)
     if not state_shapes:
@@ -708,7 +710,7 @@ def run_layer(spec, weights, x, mode: Mode = "float",
         given = getattr(init_state, name, None)
         setattr(state, name, np.zeros(shape) if given is None
                 else np.array(given, dtype=float))
-    outs = np.empty((x.shape[0], kind.output_width(spec)))
+    outs = np.empty((x.shape[0], width))
     if kind.readout:
         run(state, outs, state_trace)
     else:
@@ -716,6 +718,21 @@ def run_layer(spec, weights, x, mode: Mode = "float",
         if state_trace is not None:
             state_trace.extend(h.copy() for h in outs)
     return outs, state, counters
+
+
+def causal_windows(stream: np.ndarray, span: int) -> np.ndarray:
+    """Read-only (n, span, width) view of an (n, width) stream: window t
+    holds rows t - span + 1 .. t, oldest first, and zero rows before the
+    stream starts."""
+    n, width = stream.shape
+    padded = np.zeros((span - 1 + n, width))
+    padded[span - 1:] = stream
+    padded.flags.writeable = False
+    # Window t is rows t .. t + span - 1 of the padded stream: both leading
+    # axes step one row.
+    row, column = padded.strides
+    return np.ndarray((n, span, width), buffer=padded,
+                      strides=(row, row, column))
 
 
 def run_stream(spec, weights, stream) -> tuple[np.ndarray, np.ndarray]:
@@ -735,17 +752,9 @@ def run_stream(spec, weights, stream) -> tuple[np.ndarray, np.ndarray]:
         outputs, _, _ = run_layer(spec, weights, stream, state_trace=trace)
         return outputs, outputs if trace is None else np.stack(trace)
     nominal = kind.input_shape(spec)
-    span = math.prod(nominal[:-1])
     n, width = stream.shape
-    padded = np.zeros((span - 1 + n, width))
-    padded[span - 1:] = stream
-    padded.flags.writeable = False
-    # Window t is rows t .. t + span - 1 of the padded stream: a read-only
-    # view whose first two axes both step one row.
-    row, column = padded.strides
-    samples = np.ndarray((n, span, width), buffer=padded,
-                         strides=(row, row, column))
-    outputs, _, _ = run_layer(spec, weights, samples.reshape(
+    windows = causal_windows(stream, math.prod(nominal[:-1]))
+    outputs, _, _ = run_layer(spec, weights, windows.reshape(
         (n,) + nominal[:-1] + (width,)))
     outputs = outputs.reshape(n, -1)
     return outputs, outputs

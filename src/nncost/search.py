@@ -564,76 +564,48 @@ def task_from_json(doc: dict) -> Task:
         raise SchemaError(field, message) from None
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Assignment of every sample index to exactly one of k folds."""
-
-    k: int
-    assignment: np.ndarray
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment != fold)
-
-
-def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
-    """Seeded shuffle then contiguous partition into folds of near-equal size."""
+@functools.lru_cache(maxsize=1, typed=True)
+def kfold_split(n: int, k: int, seed: int) -> tuple:
+    """Read-only (train, test) sample indices, each ascending, of every
+    fold: a seeded shuffle, then a contiguous partition into k folds of
+    near-equal size, the larger ones first. A search or sweep scores every
+    candidate on one plan, so only the last (n, k, seed) asked for is
+    kept."""
     if k < 2 or k > n:
         raise DomainError("fold count must satisfy 2 <= k <= n")
     perm = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
-    base, rem = divmod(n, k)
-    start = 0
-    for fold in range(k):
-        size = base + (1 if fold < rem else 0)
-        assignment[perm[start:start + size]] = fold
-        start += size
-    return FoldPlan(k=k, assignment=assignment)
-
-
-def _input_windows(stream: np.ndarray, width: int) -> np.ndarray:
-    """Causal windows: row t holds the last ``width`` samples ending at t."""
-    n = stream.size
-    out = np.zeros((n, width))
-    for j in range(width):
-        out[j:, j] = stream[:n - j] if j else stream
-    return out
+    for fold, members in enumerate(np.array_split(perm, k)):
+        assignment[members] = fold
+    pairs = tuple((np.flatnonzero(assignment != fold),
+                   np.flatnonzero(assignment == fold)) for fold in range(k))
+    for pair in pairs:
+        for indices in pair:
+            indices.flags.writeable = False
+    return pairs
 
 
 def featurize(net: NetworkSpec, stream, seed: int) -> np.ndarray:
     """Hidden representation of the stream under seeded fixed weights.
 
     Each layer transforms the per-step feature vectors of its predecessor
-    (``interp.run_stream``): recurrent layers run statefully over the whole
-    stream from zero state, feedforward layers per step. The final features
+    (``interp.run_stream``); at step t the first sees the last n_i samples,
+    newest first (``interp.causal_windows`` reversed, zero before the
+    stream starts). Recurrent layers run statefully over the whole stream
+    from zero state, feedforward layers per step. The final features
     come from the last layer: its per-step output, or the reservoir state
     when the last layer is an echo state network (the readout of a
     reservoir is fitted, not random).
     """
-    stream = np.asarray(stream, dtype=float)
-    features = _input_windows(stream, net.layers[0].n_i)
+    windows = interp.causal_windows(
+        np.asarray(stream, dtype=float).reshape(-1, 1), net.layers[0].n_i)
+    features = windows[:, ::-1, 0].copy()
     for index, layer in enumerate(net.layers):
         weights = interp.random_weights(
             layer, np.random.default_rng([seed, index]))
         outputs, states = interp.run_stream(layer, weights, features)
         features = states if index == len(net.layers) - 1 else outputs
     return features
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _fold_pairs(n: int, k: int, seed: int) -> tuple:
-    """Read-only (train, test) index arrays of each fold of
-    ``kfold_split(n, k, seed)``. A search or sweep scores every candidate
-    on one plan, so only the last plan asked for is kept."""
-    plan = kfold_split(n, k, seed)
-    pairs = tuple((plan.train_indices(fold), plan.test_indices(fold))
-                  for fold in range(k))
-    for pair in pairs:
-        for indices in pair:
-            indices.flags.writeable = False
-    return pairs
 
 
 def _ridge_fit(Fb: np.ndarray, y: np.ndarray,
@@ -667,7 +639,7 @@ def kfold_score(task: Task, net: NetworkSpec, k: int = 5,
                             axis=1)
     penalty = RIDGE * np.eye(design.shape[1])
     mses = []
-    for train, test in _fold_pairs(task.targets.size, k, seed):
+    for train, test in kfold_split(task.targets.size, k, seed):
         beta = _ridge_fit(design[train], task.targets[train], penalty)
         pred = design[test] @ beta
         mses.append(_mean((pred - task.targets[test]) ** 2))

@@ -345,6 +345,7 @@ class TestValidate:
                                        dilation=2),))
         violations = validate_network(net)
         assert [v.rule for v in violations] == ["zero-output-width"]
+        assert violations[0].message == f"{net.layers[0]!r} emits no features"
 
 
 class TestBitwidthConfig:

@@ -155,6 +155,23 @@ class TestValidate:
         assert record["mode"] == "fixed"
         assert record["overflow_count"] == 0
 
+    @pytest.mark.parametrize("command", ["estimate", "validate"])
+    def test_zero_width_convolution_exit_2(self, command, tmp_path, capsys):
+        """A convolution with no kernel placement is an input error for
+        both commands: estimate finds it in validation, validate when the
+        audit runs the layer."""
+        path = tmp_path / "conv.json"
+        path.write_text(json.dumps({"name": "c", "layers": [
+            {"type": "conv1d", "n_f": 1, "n_i": 1, "n_k": 5, "n_s": 5,
+             "dilation": 2}]}))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(
+            "Conv1D(n_f=1, n_i=1, n_k=5, n_s=5, padding=0, dilation=2, "
+            "stride=1, activation='tanh') emits no features\n")
+
 
 class TestSearch:
     def test_writes_history_and_exit_0(self, space_file, task_file, tmp_path,

@@ -74,8 +74,9 @@ class TestConv1D:
     def test_empty_output(self):
         spec = Conv1D(n_f=1, n_i=1, n_k=5, n_s=5, dilation=2)
         w = random_weights(spec, 1)
-        with pytest.raises(EmptyOutput):
+        with pytest.raises(EmptyOutput) as info:
             run_layer(spec, w, np.ones((5, 1)))
+        assert str(info.value) == f"{spec!r} emits no features"
 
     def test_fir_correspondence(self):
         # Linear zero-bias convolution equals an FIR filter with the

@@ -125,14 +125,11 @@ def sha256(text):
 
 class TestKFold:
     def test_even_split(self):
-        plan = kfold_split(10, 5, seed=0)
-        sizes = [plan.test_indices(f).size for f in range(5)]
+        sizes = [test.size for _, test in kfold_split(10, 5, seed=0)]
         assert sizes == [2, 2, 2, 2, 2]
 
     def test_remainder_split(self):
-        plan = kfold_split(10, 3, seed=0)
-        sizes = sorted((plan.test_indices(f).size for f in range(3)),
-                       reverse=True)
+        sizes = [test.size for _, test in kfold_split(10, 3, seed=0)]
         assert sizes == [4, 3, 3]
 
     def test_domain(self):
@@ -142,14 +139,21 @@ class TestKFold:
             kfold_split(10, 1, seed=0)
 
     def test_partition(self):
-        plan = kfold_split(23, 4, seed=3)
-        seen = np.concatenate([plan.test_indices(f) for f in range(4)])
+        pairs = kfold_split(23, 4, seed=3)
+        seen = np.concatenate([test for _, test in pairs])
         assert sorted(seen.tolist()) == list(range(23))
+        for train, test in pairs:
+            assert np.union1d(train, test).tolist() == list(range(23))
+            assert train.size + test.size == 23
 
     def test_deterministic(self):
         a = kfold_split(40, 5, seed=7)
+        kfold_split.cache_clear()
         b = kfold_split(40, 5, seed=7)
-        np.testing.assert_array_equal(a.assignment, b.assignment)
+        assert a is not b
+        for pair_a, pair_b in zip(a, b, strict=True):
+            for x, y in zip(pair_a, pair_b):
+                np.testing.assert_array_equal(x, y)
 
 
 class TestSynthTask:
@@ -220,14 +224,10 @@ def reference_ridge_predict(F, beta):
 
 
 def reference_kfold_score(task, net, k, seed, ridge=1e-6):
-    """``kfold_score`` as first written: a fresh fold plan per call and a
-    bias column stacked per fold."""
+    """``kfold_score`` as first written: a bias column stacked per fold."""
     features = featurize(net, task.inputs, seed)
-    plan = kfold_split(task.targets.size, k, seed)
     mses = []
-    for fold in range(k):
-        train = plan.train_indices(fold)
-        test = plan.test_indices(fold)
+    for train, test in kfold_split(task.targets.size, k, seed):
         beta = reference_ridge_fit(features[train], task.targets[train], ridge)
         pred = reference_ridge_predict(features[test], beta)
         mses.append(float(np.mean((pred - task.targets[test]) ** 2)))
@@ -248,11 +248,8 @@ class TestKFoldScore:
         net = NetworkSpec("m", (Dense(6, 3, activation="tanh"),))
         k, seed = 4, 2
         features = featurize(net, task.inputs, seed)
-        plan = kfold_split(task.targets.size, k, seed)
         mses = []
-        for fold in range(k):
-            train = plan.train_indices(fold)
-            test = plan.test_indices(fold)
+        for train, test in kfold_split(task.targets.size, k, seed):
             beta = reference_ridge_fit(features[train], task.targets[train],
                                        1e-6)
             pred = reference_ridge_predict(features[test], beta)
@@ -901,9 +898,14 @@ class TestRecurrentSearchPinned:
 
 def reference_featurize(net, stream, seed):
     """``featurize`` as it was before it ran through ``interp.run_stream``,
-    verbatim except that every forward pass is spelled ``run_layer``."""
+    verbatim except that every forward pass is spelled ``run_layer``: the
+    first layer's causal windows, newest sample first, are built column by
+    column."""
     stream = np.asarray(stream, dtype=float)
-    features = search._input_windows(stream, net.layers[0].n_i)
+    n, width = stream.size, net.layers[0].n_i
+    features = np.zeros((n, width))
+    for j in range(width):
+        features[j:, j] = stream[:n - j] if j else stream
     for index, layer in enumerate(net.layers):
         weights = interp.random_weights(
             layer, np.random.default_rng([seed, index]))
@@ -986,13 +988,20 @@ class TestKFoldScoreMatchesReference:
                 assert got.view(np.uint64) == want.view(np.uint64)
 
     def test_fold_arrays_read_only(self):
-        plan = kfold_split(23, 4, seed=3)
-        pairs = search._fold_pairs(23, 4, 3)
-        assert search._fold_pairs(23, 4, 3) is pairs
+        """The kept plan is read-only, and it is the first-written plan: a
+        seeded shuffle cut into contiguous folds, larger folds first."""
+        pairs = kfold_split(23, 4, 3)
+        assert kfold_split(23, 4, 3) is pairs
         assert len(pairs) == 4
+        perm = np.random.default_rng(3).permutation(23)
+        start = 0
         for fold, (train, test) in enumerate(pairs):
-            np.testing.assert_array_equal(train, plan.train_indices(fold))
-            np.testing.assert_array_equal(test, plan.test_indices(fold))
+            size = 23 // 4 + (1 if fold < 23 % 4 else 0)
+            members = perm[start:start + size]
+            start += size
+            np.testing.assert_array_equal(test, np.sort(members))
+            np.testing.assert_array_equal(
+                train, np.setdiff1d(np.arange(23), members))
             for indices in (train, test):
                 assert not indices.flags.writeable
                 with pytest.raises(ValueError):
