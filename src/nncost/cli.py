@@ -25,7 +25,7 @@ import os
 import sys
 import tempfile
 
-from . import bayesopt, costmodel, interp, search
+from . import bayesopt, costmodel, interp, quant, search
 from .arch import BitwidthConfig, parse_spec
 from .errors import (EmptyOutput, InfeasibleSpace, NNCostError, SchemaError,
                      SpecSyntaxError, ValidationError)
@@ -94,7 +94,7 @@ def cmd_estimate(args) -> int:
     net = parse_spec(_read_file(args.spec))
     bits = _bits(args)
     try:
-        scheme = search.parse_scheme(args.scheme, bits.b_w)
+        scheme = quant.parse_scheme(args.scheme, bits.b_w)
     except ValueError as exc:
         raise SpecSyntaxError(
             f"--scheme {args.scheme} at --bw {bits.b_w}: {exc}") from exc
@@ -110,7 +110,7 @@ def cmd_validate(args) -> int:
     _at_least(args, seed=0)
     net = parse_spec(_read_file(args.spec))
     bits = BitwidthConfig()
-    scheme = search.parse_scheme("uniform", bits.b_w)
+    scheme = quant.FixedUniform(bits.b_w)
     mode = "float" if args.mode == "float" else interp.FixedPoint(bits, scheme)
     record = interp.audit(net, bits, scheme, seed=args.seed, mode=mode,
                           esn_feedback=args.esn_feedback)

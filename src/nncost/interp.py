@@ -67,15 +67,15 @@ Counting conventions:
   is how pruning masks lower the measured count;
 * activation evaluations are tallied separately, never folded into
   mults/adds;
-* in fixed-point mode, power-of-two weights turn every weight product into
-  a single barrel shift (counted under ``shifts``) and additive
-  power-of-two weights into one shift per term plus connecting adds.
+* in fixed-point mode a weight product counts what the scheme's
+  ``products`` say (``quant``): a multiplication, one barrel shift (PoT,
+  under ``shifts``), or one shift per term plus joining adds (APoT).
 
 Fixed-point mode quantizes the layer input symmetrically to ``b_i`` bits
 and the weights per the chosen scheme; products and accumulations are then
 exact, so the only deviation from float execution is the input rounding.
-Accumulators are sized by ``acc_bits`` and saturate on overflow; overflow
-counting is meaningful for the uniform scheme, whose integer codes match
+Accumulators are sized by ``acc_bits`` and saturate on overflow. Overflow
+is counted where the quantizer gives integer codes (uniform), which match
 that accumulator model, and by construction stays zero there.
 
 The module also carries the classic FIR/IIR reference filters: a linear
@@ -203,46 +203,29 @@ def _quantize_operand(x: np.ndarray, b_i: int) -> tuple[np.ndarray, float]:
 class _CountedMatrix:
     """A weight matrix prepared for repeated counted application.
 
-    Per application, products with nonzero stored weights are counted as
-    multiplications (float, uniform) or shifts (PoT/APoT); accumulation and
-    the APoT term-combining adds are word-level additions.
-    """
+    ``counts`` is what one application counts: the scheme's products with
+    the nonzero stored weights (float mode: a multiplication each) plus the
+    accumulating adds. A quantizer giving integer codes (uniform) sets the
+    ``scale`` and ``cap`` of the saturating-accumulator overflow check."""
 
     def __init__(self, values: np.ndarray, mode: Mode):
-        values = np.asarray(values, dtype=float)
+        self.values = values = np.asarray(values, dtype=float)
         self.rows, self.cols = values.shape
-        self.mult_events = 0
-        self.shift_events = 0
-        self.extra_adds = 0
-        self.scale = None
-        self.acc_width = None
         nnz = int(np.count_nonzero(values))
+        self.counts, self.scale = OpCounters(mults=nnz), None
         if isinstance(mode, FixedPoint):
-            self.acc_width = costmodel.acc_bits(
-                self.cols, mode.bits.b_w, mode.bits.b_i)
             qw = quant.quantize(values, mode.scheme)
             self.values = qw.values
-            scheme = mode.scheme
-            if isinstance(scheme, (quant.Float, quant.FixedUniform)):
-                self.mult_events = nnz
-                if isinstance(scheme, quant.FixedUniform):
-                    self.scale = qw.scale
-            elif isinstance(scheme, quant.PoT):
-                self.shift_events = nnz
-            else:  # APoT: one shift per term, one add joins consecutive terms
-                self.shift_events = int(qw.term_counts.sum())
-                self.extra_adds = (self.shift_events
-                                   - int(np.count_nonzero(qw.term_counts)))
-        else:
-            self.values = values
-            self.mult_events = nnz
+            self.counts = OpCounters(**mode.scheme.products(qw, nnz))
+            if qw.codes is not None:
+                self.scale = qw.scale
+                self.cap = (1 << (costmodel.acc_bits(
+                    self.cols, mode.bits.b_w, mode.bits.b_i) - 1)) - 1
+        self.counts.adds += self.rows * (self.cols - 1)
 
     def tally(self, counters: OpCounters, applications: int):
         """Count ``applications`` products with this matrix."""
-        counters.mults += self.mult_events * applications
-        counters.shifts += self.shift_events * applications
-        counters.adds += (self.rows * (self.cols - 1)
-                          + self.extra_adds) * applications
+        counters.merge(self.counts, applications)
 
     def apply(self, x: np.ndarray, counters: OpCounters,
               input_scale: float | None = None) -> np.ndarray:
@@ -254,13 +237,11 @@ class _CountedMatrix:
         y = self.values @ x
         if self.scale is not None and input_scale:
             # Saturating accumulator check in integer-code units.
-            cap = (1 << (self.acc_width - 1)) - 1
             lsb = self.scale * input_scale
-            codes = y / lsb
-            over = np.abs(codes) > cap
+            over = np.abs(y / lsb) > self.cap
             if np.any(over):
                 counters.overflows += int(np.count_nonzero(over))
-                y = np.clip(y, -cap * lsb, cap * lsb)
+                y = np.clip(y, -self.cap * lsb, self.cap * lsb)
         return y
 
 

@@ -1,25 +1,22 @@
 """Weight quantization schemes, their shift-add cost, and weight compression.
 
-The schemes differ in how a multiplication by a stored weight is realized:
-
-* ``Float`` / ``FixedUniform``: a full b_w-bit multiplier, equivalent to at
-  most ``b_w - 1`` adders in a shift-and-add decomposition.
-* ``PoT``: weights are signed powers of two, so every multiplication is a
-  single barrel shift and costs zero adders.
-* ``APoT``: weights are sums of ``k`` distinct powers of two, so a
-  multiplication is ``k`` shifts plus ``k - 1`` adders.
-
-PoT and APoT quantize a whole matrix in one vectorized numpy pass (APoT:
-one pass per term), bit-identical to the greedy per-weight definition in
-their docstrings. ``x_w(scheme)`` exposes the adder count for the cost
-formulas. The module also implements magnitude pruning and weight-sharing
-clustering, and the pruning-aware multiplication count ``effective_rm``.
+Each scheme is one ``QuantScheme`` class holding all nncost knows of it:
+its spelling, b_w range, adder count ``x_w`` for the cost formulas,
+quantizer, and what one product with a matrix it quantized counts. A full
+b_w-bit multiplier (``Float``, ``FixedUniform``) is at most b_w - 1 adders,
+a signed power of two (``PoT``) one barrel shift and no adder, a signed sum
+of k distinct powers of two (``APoT``) k shifts and k - 1 adders. PoT and
+APoT quantize a whole matrix in one vectorized numpy pass (APoT: one pass
+per term), bit-identical to the greedy per-weight definition in their
+docstrings. The module also implements magnitude pruning, weight-sharing
+clustering and the pruning-aware multiplication count ``effective_rm``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,66 +24,115 @@ from . import arch
 from .errors import DomainError, ShapeError
 
 
-def _check_bw(b_w: int, minimum: int = 2):
-    arch._require_count(b_w, "b_w", minimum, 64)
+@dataclass(frozen=True)
+class QuantScheme:
+    """Base of the scheme classes, each with a ``tag`` (``tag:K`` sets field
+    ``suffix``), ``min_bw``, ``x_w``, ``quantizer`` and ``products``."""
+
+    tag: ClassVar[str]
+    suffix: ClassVar[str | None] = None
+    min_bw: ClassVar[int] = 2
+    b_w: int = 8
+
+    def __post_init__(self):
+        arch._require_count(self.b_w, "b_w", self.min_bw, 64)
+
+    def x_w(self) -> int:
+        """Adders required at most to realize one multiplication."""
+        return self.b_w - 1
+
+    def products(self, qw: QuantizedWeights, nonzero: int) -> dict[str, int]:
+        """Counts of one product of the quantized matrix ``qw`` with a vector
+        besides accumulation: one multiplication per ``nonzero`` weight."""
+        return {"mults": nonzero}
 
 
 @dataclass(frozen=True)
-class Float:
+class Float(QuantScheme):
     """No quantization; b_w is the multiplier-width surrogate for cost formulas."""
 
+    tag: ClassVar[str] = "float"
+    min_bw: ClassVar[int] = 1
     b_w: int = 32
 
-    def __post_init__(self):
-        _check_bw(self.b_w, minimum=1)
+    def quantizer(self, weights) -> QuantizedWeights:
+        w = np.asarray(weights, dtype=float)
+        return QuantizedWeights(self, w.copy(), w == 0.0)
 
 
 @dataclass(frozen=True)
-class FixedUniform:
+class FixedUniform(QuantScheme):
     """Symmetric uniform fixed-point weights with b_w bits."""
 
-    b_w: int = 8
+    tag: ClassVar[str] = "uniform"
 
-    def __post_init__(self):
-        _check_bw(self.b_w)
+    def quantizer(self, weights) -> QuantizedWeights:
+        return quantize_uniform(weights, self.b_w)
 
 
 @dataclass(frozen=True)
-class PoT:
+class PoT(QuantScheme):
     """Signed power-of-two weights: one sign bit plus an exponent field."""
 
-    b_w: int = 8
+    tag: ClassVar[str] = "pot"
 
-    def __post_init__(self):
-        _check_bw(self.b_w)
+    def x_w(self) -> int:
+        return 0
+
+    def quantizer(self, weights) -> QuantizedWeights:
+        return quantize_pot(weights, self.b_w)
+
+    def products(self, qw: QuantizedWeights, nonzero: int) -> dict[str, int]:
+        """One barrel shift per nonzero weight."""
+        return {"shifts": nonzero}
 
 
 @dataclass(frozen=True)
-class APoT:
+class APoT(QuantScheme):
     """Signed sums of k_terms distinct powers of two."""
 
-    b_w: int = 8
+    tag: ClassVar[str] = "apot"
+    suffix: ClassVar[str] = "k_terms"
     k_terms: int = 2
 
     def __post_init__(self):
-        _check_bw(self.b_w)
+        super().__post_init__()
         arch._require_count(self.k_terms, "k_terms")
         if self.k_terms > self.b_w - 1:
             raise ValueError("k_terms must be <= b_w - 1 (one sign bit reserved)")
 
+    def x_w(self) -> int:
+        return self.k_terms - 1
 
-QuantScheme = Float | FixedUniform | PoT | APoT
+    def quantizer(self, weights) -> QuantizedWeights:
+        return quantize_apot(weights, self.b_w, self.k_terms)
+
+    def products(self, qw: QuantizedWeights, nonzero: int) -> dict[str, int]:
+        """One shift per term, and one add joins each two consecutive terms."""
+        shifts = int(qw.term_counts.sum())
+        return {"shifts": shifts,
+                "adds": shifts - int(np.count_nonzero(qw.term_counts))}
+
+
+def parse_scheme(text: str, b_w: int) -> QuantScheme:
+    """Scheme from its tag, any case: float | uniform | pot | apot | apot:K
+    (apot is apot:2). ValueError for any other text."""
+    name, colon, k = text.lower().partition(":")
+    schemes = QuantScheme.__subclasses__()
+    for cls in schemes:
+        if cls.tag == name and not colon:
+            return cls(b_w)
+        if cls.tag == name and cls.suffix and k.isascii() and k.isdigit():
+            return cls(b_w, **{cls.suffix: int(k)})
+    spellings = ([cls.tag for cls in schemes]
+                 + [f"{cls.tag}:K" for cls in schemes if cls.suffix])
+    raise ValueError(f"unknown scheme {text!r}; expected "
+                     f"{', '.join(spellings[:-1])} or {spellings[-1]}")
 
 
 def x_w(scheme: QuantScheme) -> int:
     """Adders required at most to realize one multiplication under the scheme."""
-    if isinstance(scheme, (Float, FixedUniform)):
-        return scheme.b_w - 1
-    if isinstance(scheme, PoT):
-        return 0
-    if isinstance(scheme, APoT):
-        return scheme.k_terms - 1
-    raise TypeError(f"unknown scheme: {scheme!r}")
+    return scheme.x_w()
 
 
 def _pot_exponent_range(b_w: int) -> int:
@@ -124,18 +170,18 @@ class QuantizedWeights:
 
     def to_json(self) -> dict:
         payload = {
-            "scheme": type(self.scheme).__name__.lower(),
+            "scheme": self.scheme.tag,
             "values": self.values.tolist(),
             "zero_mask": self.zero_mask.tolist(),
             "scale": self.scale,
         }
         if self.codes is not None:
             payload["codes"] = self.codes.tolist()
-        if self.exponents is not None:
+        if self.signs is not None:
             payload["signs"] = self.signs.tolist()
+        if self.exponents is not None:
             payload["exponents"] = self.exponents.tolist()
         if self.term_counts is not None:
-            payload["signs"] = self.signs.tolist()
             payload["terms"] = [list(t) for t in self.terms]
         return payload
 
@@ -154,14 +200,12 @@ def quantize_uniform(weights, b_w: int) -> QuantizedWeights:
     An all-zero input has no defined scale and degenerates to the all-zero
     representation.
     """
-    _check_bw(b_w)
-    w, max_abs = _finite_weights(weights)
     scheme = FixedUniform(b_w)
+    w, max_abs = _finite_weights(weights)
     if max_abs == 0.0:
-        codes = np.zeros(w.shape, dtype=np.int64)
         return QuantizedWeights(scheme, np.zeros_like(w),
-                                np.ones(w.shape, dtype=bool), codes=codes,
-                                scale=1.0)
+                                np.ones(w.shape, dtype=bool),
+                                codes=np.zeros(w.shape, dtype=np.int64))
     q_max = (1 << (b_w - 1)) - 1
     scale = max_abs / q_max
     limit = float(q_max)  # clip at the largest double <= q_max:
@@ -196,7 +240,7 @@ def quantize_pot(weights, b_w: int) -> QuantizedWeights:
     normalization scale is recorded so dequantization is exact. Zeros keep a
     dedicated zero code.
     """
-    _check_bw(b_w)
+    scheme = PoT(b_w)
     w, max_abs = _finite_weights(weights)
     scale = max(max_abs, 1.0)
     nonzero = w != 0.0
@@ -207,7 +251,7 @@ def quantize_pot(weights, b_w: int) -> QuantizedWeights:
     values = np.zeros(w.shape)
     values[nonzero] = np.ldexp(1.0, e) * scale
     np.copysign(values, w, out=values, where=nonzero)
-    return QuantizedWeights(PoT(b_w), values, ~nonzero, scale=scale,
+    return QuantizedWeights(scheme, values, ~nonzero, scale=scale,
                             signs=np.sign(w).astype(np.int64),
                             exponents=exponents)
 
@@ -250,17 +294,8 @@ def quantize_apot(weights, b_w: int, k_terms: int) -> QuantizedWeights:
 
 
 def quantize(weights, scheme: QuantScheme) -> QuantizedWeights:
-    """Dispatch to the scheme's quantizer; Float passes values through."""
-    if isinstance(scheme, Float):
-        w = np.asarray(weights, dtype=float)
-        return QuantizedWeights(scheme, w.copy(), w == 0.0)
-    if isinstance(scheme, FixedUniform):
-        return quantize_uniform(weights, scheme.b_w)
-    if isinstance(scheme, PoT):
-        return quantize_pot(weights, scheme.b_w)
-    if isinstance(scheme, APoT):
-        return quantize_apot(weights, scheme.b_w, scheme.k_terms)
-    raise TypeError(f"unknown scheme: {scheme!r}")
+    """The scheme's quantizer; Float passes values through."""
+    return scheme.quantizer(weights)
 
 
 @dataclass
@@ -287,7 +322,7 @@ def magnitude_prune(weights, sparsity: float) -> PruneMask:
     """
     if not 0.0 <= sparsity < 1.0:
         raise DomainError("sparsity must be in [0, 1)")
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = _finite_weights(weights)[0].reshape(-1)
     n = w.size
     n_prune = math.ceil(sparsity * n - 1e-12)
     keep = np.ones(n, dtype=bool)
@@ -321,26 +356,23 @@ def cluster_weights(weights, c: int) -> SharedWeights:
     distinct values every distinct value becomes its own centroid, which is
     the zero-distortion fixed point that linear initialization can miss.
     """
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = _finite_weights(weights)[0].reshape(-1)
     n = w.size
     if not 1 <= c <= n:
         raise DomainError("cluster count must satisfy 1 <= c <= n")
     distinct = np.unique(w)
     if c >= distinct.size:
-        centroids = distinct
-        assignments = np.searchsorted(distinct, w)
-        return SharedWeights(centroids, assignments.astype(np.int64))
+        return SharedWeights(distinct,
+                             np.searchsorted(distinct, w).astype(np.int64))
     centroids = np.linspace(w.min(), w.max(), c)
     assignments = np.argmin(np.abs(w[:, None] - centroids[None, :]), axis=1)
     for _ in range(100):
-        new_centroids = centroids.copy()
         for j in range(c):
             members = w[assignments == j]
             if members.size:
-                new_centroids[j] = members.mean()
+                centroids[j] = members.mean()
         new_assignments = np.argmin(
-            np.abs(w[:, None] - new_centroids[None, :]), axis=1)
-        centroids = new_centroids
+            np.abs(w[:, None] - centroids[None, :]), axis=1)
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments

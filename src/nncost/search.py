@@ -35,6 +35,7 @@ from . import arch, bayesopt, costmodel, interp, quant
 from .arch import BitwidthConfig, NetworkSpec
 from .errors import DomainError, NNCostError, SchemaError
 from .interp import fir_filter
+from .quant import parse_scheme
 
 _METRICS = ("rm", "bop", "nabs")
 RIDGE = 1e-6  # added to the diagonal of the readout's Gram matrix
@@ -468,7 +469,7 @@ class SearchSpace:
             except ValueError as exc:
                 raise SchemaError(f"bits.{name}", str(exc)) from exc
         bits = BitwidthConfig(**bits_doc)
-        scheme = doc.get("scheme", "uniform")
+        scheme = doc.get("scheme", quant.FixedUniform.tag)
         if not isinstance(scheme, str):
             raise SchemaError("scheme", "must be a string")
         try:
@@ -483,20 +484,6 @@ class SearchSpace:
             bits=bits,
             scheme=scheme,
         )
-
-
-def parse_scheme(text: str, b_w: int) -> quant.QuantScheme:
-    """Scheme from its CLI spelling, any case: float | uniform | pot | apot
-    | apot:K (apot is apot:2). ValueError for any other text."""
-    name, colon, k = text.lower().partition(":")
-    simple = {"float": quant.Float, "uniform": quant.FixedUniform,
-              "pot": quant.PoT}
-    if name in simple and not colon:
-        return simple[name](b_w)
-    if name == "apot" and (not colon or k.isascii() and k.isdigit()):
-        return quant.APoT(b_w, int(k) if colon else 2)
-    raise ValueError(f"unknown scheme {text!r}; expected float, uniform, pot, "
-                     f"apot or apot:K")
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,18 @@ class TestFixedPoint:
         assert c.mults == rm_layer(spec)
         assert c.overflows == 0
 
+    def test_float_scheme_counts_match_analytic(self):
+        mode = FixedPoint(BITS8, quant.Float(8))
+        for seed, spec in enumerate((Dense(4, 6), VanillaRNN(3, 4, 5),
+                                     LSTM(2, 3, 4))):
+            w = random_weights(spec, seed)
+            x = np.random.default_rng(seed).uniform(
+                -1, 1, arch.layer_kind(spec).input_shape(spec))
+            _, _, c = run_layer(spec, w, x, mode)
+            assert c.mults == rm_layer(spec)
+            assert c.shifts == 0
+            assert c.overflows == 0
+
     def test_apot_decomposes_into_terms(self):
         spec = Dense(2, 3, activation="linear")
         w = random_weights(spec, 19)

@@ -162,13 +162,45 @@ class TestNonFinite:
         lambda w: quantize_apot(w, 8, 2),
         lambda w: quantize(w, PoT(8)),
         lambda w: quantize(w, APoT(8, 3)),
+        lambda w: cluster_weights(w, 2),
+        lambda w: magnitude_prune(w, 0.34),
     )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("which", range(len(QUANTIZERS)))
     def test_rejected(self, bad, which):
         with pytest.raises(DomainError, match="weights must be finite"):
             self.QUANTIZERS[which](np.array([[0.5, bad], [0.0, -0.25]]))
+
+
+def _ladder_x_w(scheme):
+    """x_w as the isinstance ladder before the scheme classes gave it."""
+    if isinstance(scheme, (Float, FixedUniform)):
+        return scheme.b_w - 1
+    if isinstance(scheme, PoT):
+        return 0
+    return scheme.k_terms - 1
+
+
+@pytest.mark.parametrize("cls", [Float, FixedUniform, PoT, APoT])
+class TestSchemeTable:
+    W = np.array([[0.5, -0.2], [0.0, 1.5]])
+
+    def test_tag_parses_to_the_class(self, cls):
+        assert isinstance(quant.parse_scheme(cls.tag, 8), cls)
+
+    def test_quantized_weights_carry_the_scheme_and_tag(self, cls):
+        scheme = quant.parse_scheme(cls.tag, 8)
+        qw = quantize(self.W, scheme)
+        assert qw.scheme == scheme
+        assert qw.to_json()["scheme"] == scheme.tag
+
+    def test_x_w_matches_the_ladder(self, cls):
+        for b_w in range(cls.min_bw, 65):
+            schemes = ([APoT(b_w, k) for k in range(1, b_w)] if cls is APoT
+                       else [cls(b_w)])
+            for scheme in schemes:
+                assert x_w(scheme) == _ladder_x_w(scheme)
 
 
 # Reference: the per-weight greedy quantizers the vectorized ones replaced,
