@@ -63,8 +63,8 @@ Counting conventions:
 * element-wise (Hadamard) products count one multiplication per element;
 * the leaky state update of an echo state layer costs two multiplications
   and one addition per reservoir unit;
-* multiplications by stored zero weights are skipped (zero-skipping), which
-  is how pruning masks lower the measured count;
+* products with weights that are zero before quantization are skipped
+  (zero-skipping, which pruning masks use); a code rounded to 0 still counts;
 * activation evaluations are tallied separately, never folded into
   mults/adds;
 * in fixed-point mode a weight product counts what the scheme's
@@ -110,8 +110,9 @@ class OpCounters:
     overflows: int = 0
 
     def merge(self, other: "OpCounters", times: int = 1) -> "OpCounters":
+        mine = vars(self)
         for name, value in vars(other).items():
-            vars(self)[name] += times * value
+            mine[name] += times * value
         return self
 
     def as_dict(self) -> dict:
@@ -204,9 +205,9 @@ class _CountedMatrix:
     """A weight matrix prepared for repeated counted application.
 
     ``counts`` is what one application counts: the scheme's products with
-    the nonzero stored weights (float mode: a multiplication each) plus the
-    accumulating adds. A quantizer giving integer codes (uniform) sets the
-    ``scale`` and ``cap`` of the saturating-accumulator overflow check."""
+    the weights nonzero before quantization (float mode: a mult each) plus
+    the accumulating adds. A quantizer giving integer codes (uniform) sets
+    the ``scale`` and ``cap`` of the saturating-accumulator overflow check."""
 
     def __init__(self, values: np.ndarray, mode: Mode):
         self.values = values = np.asarray(values, dtype=float)

@@ -1,14 +1,14 @@
 """Weight quantization schemes, their shift-add cost, and weight compression.
 
-Each scheme is one ``QuantScheme`` class holding all nncost knows of it:
-its spelling, b_w range, adder count ``x_w`` for the cost formulas,
-quantizer, and what one product with a matrix it quantized counts. A full
-b_w-bit multiplier (``Float``, ``FixedUniform``) is at most b_w - 1 adders,
-a signed power of two (``PoT``) one barrel shift and no adder, a signed sum
-of k distinct powers of two (``APoT``) k shifts and k - 1 adders. PoT and
-APoT quantize a whole matrix in one vectorized numpy pass (APoT: one pass
-per term), bit-identical to the greedy per-weight definition in their
-docstrings. The module also implements magnitude pruning, weight-sharing
+Each scheme is one ``QuantScheme`` class holding all nncost knows of it: its
+spelling, b_w range, adder count ``x_w`` for the cost formulas, quantizer, and
+what one product with a matrix it quantized counts. A full b_w-bit multiplier
+(``Float``, ``FixedUniform``) is at most b_w - 1 adders, a signed power of two
+(``PoT``) one barrel shift and no adder, a signed sum of k distinct powers of
+two (``APoT``) k shifts and k - 1 adders. PoT and APoT quantize a matrix in
+one numpy pass (APoT: per term, over compacted residuals) reading each nearest
+power of two off ``frexp``'s mantissa, bit-identical to their docstrings'
+per-weight rule. The module also implements magnitude pruning, weight-sharing
 clustering and the pruning-aware multiplication count ``effective_rm``.
 """
 
@@ -189,9 +189,10 @@ class QuantizedWeights:
 def _finite_weights(weights) -> tuple[np.ndarray, float]:
     """Weights as a float array, rejecting NaN and infinities, and max|w|."""
     w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)):
+    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
+    if not math.isfinite(max_abs):  # NaN propagates through max
         raise DomainError("weights must be finite")
-    return w, float(np.max(np.abs(w))) if w.size else 0.0
+    return w, max_abs
 
 
 def quantize_uniform(weights, b_w: int) -> QuantizedWeights:
@@ -208,10 +209,10 @@ def quantize_uniform(weights, b_w: int) -> QuantizedWeights:
                                 codes=np.zeros(w.shape, dtype=np.int64))
     q_max = (1 << (b_w - 1)) - 1
     scale = max_abs / q_max
-    limit = float(q_max)  # clip at the largest double <= q_max:
-    if limit > q_max:  # float() rounds q_max up from b_w = 55 on
-        limit = math.nextafter(limit, 0.0)
-    codes = np.clip(np.round(w / scale), -limit, limit).astype(np.int64)
+    # the largest double <= q_max: float() rounds q_max up from b_w = 55 on
+    limit = math.nextafter(q_max, 0.0) if float(q_max) > q_max else q_max
+    codes = np.minimum(np.maximum(np.rint(w / scale), -limit),
+                       limit).astype(np.int64)
     values = codes * scale
     return QuantizedWeights(scheme, values, codes == 0, codes=codes,
                             scale=scale)
@@ -221,16 +222,14 @@ def _nearest_exponents(magnitudes: np.ndarray, e_min: int,
                        ties_up: bool) -> np.ndarray:
     """Per positive magnitude, the exponent in [e_min, 0] of the closest
     power of two. Exact ties go up if ``ties_up`` (PoT), else down (APoT
-    residuals: later terms can still cancel an undershoot). frexp's mantissa
-    is in [0.5, 1), so ``e - 1`` is floor(log2) exactly, never below -1074;
-    clipping at 0 maps magnitudes >= 1 to exponent 0.
-    """
-    lo = np.clip(np.frexp(magnitudes)[1] - 1, max(e_min, -1074), 0)
-    hi = np.minimum(lo + 1, 0)  # lo, hi stay int32: ldexp's fast path
-    err_lo = np.abs(magnitudes - np.ldexp(1.0, lo))
-    err_hi = np.abs(magnitudes - np.ldexp(1.0, hi))
-    pick_hi = err_hi <= err_lo if ties_up else err_hi < err_lo
-    return lo + pick_hi * (hi - lo)  # a branch-free np.where(pick_hi, hi, lo)
+    residuals: later terms can still cancel an undershoot). With m = f *
+    2**e from frexp, f in [0.5, 1), the errors to 2**(e-1) and 2**e are
+    (f - 0.5) * 2**e and (1 - f) * 2**e, both exact by Sterbenz's lemma, so
+    comparing them is comparing f with 0.75; the clamp then keeps the
+    nearest power in range, and the pick is never below -1074."""
+    mantissa, e = np.frexp(magnitudes)  # e stays int32: ldexp's fast path
+    e -= mantissa < 0.75 if ties_up else mantissa <= 0.75
+    return e.clip(max(e_min, -1074), 0, out=e)
 
 
 def quantize_pot(weights, b_w: int) -> QuantizedWeights:
@@ -261,8 +260,9 @@ def quantize_apot(weights, b_w: int, k_terms: int) -> QuantizedWeights:
 
     Greedy per weight, all weights in one pass per term: each step adds
     the exponent nearest the residual; a weight stops once its residual is
-    0, the exponent repeats, or the term does not strictly reduce the error.
-    This never does worse than the single-term PoT quantizer at equal b_w.
+    0 or the term does not strictly reduce the error (after a term 2**e a
+    residual is at most 2**(e-1), so e repeats only where e_min clamps it,
+    and then fails that test). Never worse than PoT at equal b_w.
     """
     scheme = APoT(b_w, k_terms)
     e_min = -_pot_exponent_range(b_w)
@@ -273,19 +273,18 @@ def quantize_apot(weights, b_w: int, k_terms: int) -> QuantizedWeights:
     table = np.zeros((flat.size, k_terms), dtype=np.int16)
     counts = np.zeros(flat.size, dtype=np.int8)
     total = np.zeros(flat.size)
-    active = np.flatnonzero(residual > 0.0)
+    active = np.flatnonzero(residual)
+    r = residual[active]  # the residuals of ``active``, carried compacted
     for t in range(k_terms):
-        r = residual[active]
         e = _nearest_exponents(r, e_min, ties_up=False)
-        keep = ((np.abs(r - np.ldexp(1.0, e)) < r)
-                & ~np.any(table[active, :t] == e[:, None], axis=1))
-        active, e = active[keep], e[keep]
         power = np.ldexp(1.0, e)
-        table[active, t] = e
-        counts[active] = t + 1
-        residual[active] -= power
-        total[active] += power
-        active = active[residual[active] > 0.0]
+        keep = power < r + r  # |r - power| < r, exact for r <= 1
+        kept = active[keep]
+        table[kept, t] = e[keep]
+        counts[kept] = t + 1
+        total[kept] += power[keep]
+        r -= power  # < 0 wherever the term was not kept
+        active, r = active[r > 0.0], r[r > 0.0]
     total *= scale
     np.copysign(total, flat, out=total, where=flat != 0.0)
     return QuantizedWeights(scheme, total.reshape(w.shape), w == 0.0,

@@ -373,6 +373,15 @@ class TestFixedPoint:
         assert c.mults == rm_layer(spec)
         assert c.overflows == 0
 
+    def test_uniform_counts_weights_whose_code_rounds_to_zero(self):
+        # A product counts each weight nonzero before quantization, so the
+        # measured count stays the analytic RM under uniform fixed point.
+        w = DenseWeights(W=np.array([[1.0, 0.001]]), b=np.zeros(1))
+        mode = FixedPoint(BITS8, quant.FixedUniform(8))
+        assert quant.quantize(w.W, mode.scheme).values.tolist() == [[1.0, 0.0]]
+        _, _, c = run_layer(Dense(1, 2), w, np.ones(2), mode)
+        assert c.mults == 2 == rm_layer(Dense(1, 2))
+
     def test_float_scheme_counts_match_analytic(self):
         mode = FixedPoint(BITS8, quant.Float(8))
         for seed, spec in enumerate((Dense(4, 6), VanillaRNN(3, 4, 5),

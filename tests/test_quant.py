@@ -155,6 +155,7 @@ class TestAPoT:
             assert np.all(apot_err <= pot_err + 1e-15)
 
 
+@pytest.mark.kernel
 @pytest.mark.filterwarnings("error")
 class TestNonFinite:
     QUANTIZERS = (
@@ -293,9 +294,27 @@ def _edge_magnitudes():
     return np.array([m for m in out if m <= 1.0])
 
 
+def _tie_and_clamp_magnitudes():
+    """0.75 * 2**k, the tie between 2**(k-1) and 2**k, with its nextafter
+    neighbours for every k that keeps it exact, and magnitudes in and below
+    [2**(L-1), 2**L) for the clamp L = max(e_min, -1074) of each b_w in
+    2, 3, 4, 8, 11, 12, 16 and 64."""
+    ties = np.ldexp(0.75, np.arange(-1072, 1))
+    out = [ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0)]
+    fractions = np.array([1.0, 1.25, 1.5, 1.75, 0.5, 0.75, 0.9, 2.0**-20])
+    for b_w in (2, 3, 4, 8, 11, 12, 16, 64):
+        low = max(-((1 << (b_w - 1)) - 1), -1074)
+        inside = np.ldexp(fractions, low - 1)
+        out += [inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0),
+                [np.nextafter(2.0**low, 0.0)]]
+    out = np.concatenate(out)
+    return np.unique(out[out > 0.0])
+
+
 def _bitwise_cases():
     rng = np.random.default_rng(30)
     edge = _edge_magnitudes()
+    ties = _tie_and_clamp_magnitudes()
     signed = np.concatenate([edge, -edge, [0.0, -0.0]])
     return {
         "uniform_unit": rng.uniform(-1, 1, 400),
@@ -306,6 +325,7 @@ def _bitwise_cases():
         "empty": np.zeros(0),
         "matrix": rng.uniform(-1, 1, (12, 9)) * (rng.random((12, 9)) > 0.2),
         "tensor": rng.uniform(-3, 3, (3, 4, 5)),
+        "ties_and_clamps": np.concatenate([ties, -ties]),
     }
 
 
@@ -313,6 +333,7 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+@pytest.mark.kernel
 @pytest.mark.parametrize("b_w", [2, 3, 4, 8, 16, 64])
 class TestMatchesPerWeightReference:
     def test_pot(self, b_w):
@@ -359,6 +380,31 @@ class TestMatchesPerWeightReference:
                     "signs": signs.tolist(),
                     "terms": [list(t) for t in terms],
                 }), label
+
+
+def _two_error_nearest_exponents(magnitudes, e_min, ties_up):
+    """The vectorized rule before it read frexp's mantissa: both rounding
+    errors formed and compared (kept verbatim)."""
+    lo = np.clip(np.frexp(magnitudes)[1] - 1, max(e_min, -1074), 0)
+    hi = np.minimum(lo + 1, 0)  # lo, hi stay int32: ldexp's fast path
+    err_lo = np.abs(magnitudes - np.ldexp(1.0, lo))
+    err_hi = np.abs(magnitudes - np.ldexp(1.0, hi))
+    pick_hi = err_hi <= err_lo if ties_up else err_hi < err_lo
+    return lo + pick_hi * (hi - lo)  # a branch-free np.where(pick_hi, hi, lo)
+
+
+@pytest.mark.kernel
+@pytest.mark.parametrize("ties_up", [True, False])
+@pytest.mark.parametrize("b_w", [2, 3, 4, 8, 12, 16, 64])
+class TestNearestExponents:
+    def test_matches_two_error_rule(self, b_w, ties_up):
+        e_min = -((1 << (b_w - 1)) - 1)
+        m = np.concatenate([_tie_and_clamp_magnitudes(), _edge_magnitudes(),
+                            [1.5, 2.0, 7.0]])
+        got = quant._nearest_exponents(m, e_min, ties_up)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(
+            got, _two_error_nearest_exponents(m, e_min, ties_up))
 
 
 class TestPrune:
