@@ -24,10 +24,10 @@ loop, one batched product per gate and block of steps, which the runner
 reads row by row from one iterator (``_gates``); per step one product of
 the (G, n_h, n_h) stack of the U_g with h, which numpy runs as one gemv
 per gate, fills a (G, n_h) buffer, (W x + U h) + b is one pair of adds
-over all gates and one sigmoid, with one exp, covers the sigmoid gates.
-Counts are closed form: the per-step tally times the number of steps. The
-gates are never stacked into one 2-D (G n_h, n) matrix, whose product BLAS
-rounds apart from the per-gate products.
+over all gates and one sigmoid, with one exp and one copysign, covers the
+sigmoid gates. Counts are closed form: the per-step tally times the number
+of steps. The gates are never stacked into one 2-D (G n_h, n) matrix, whose
+product BLAS rounds apart from the per-gate products.
 
 A recurrent run allocates nothing per step, except that an echo-state
 run given a trace appends a copy of s to it each step. Its ufuncs, gate,
@@ -132,26 +132,26 @@ Mode = str | FixedPoint
 
 
 # Read-only operands: a Python float costs a conversion on every ufunc call
-_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO, _ONE, _MINUS_ONE = np.zeros(()), np.ones(()), np.full((), -1.0)
 _ZERO.flags.writeable = _ONE.flags.writeable = False
+_MINUS_ONE.flags.writeable = False
 
 
 def _sigmoid(shape):
     """The stable sigmoid of arrays of ``shape``: returns ``f(v, out)``,
-    which writes 1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|) (NaN
-    sign kept), into ``out`` (v itself allowed; a new array when None) and
-    returns it. The numerator exp(min(v, 0)) is exactly 1 or e, and nothing
-    overflows. Both exponents share one buffer, bound with its views here,
-    and one exp."""
+    which writes 1/(1+e) for v >= 0 and e/(1+e) below, e = exp(-|v|), into
+    ``out`` (v itself allowed; a new array when None) and returns it. The
+    numerator exp(min(v, 0)) is exactly 1 or e, nothing overflows, and a NaN
+    keeps its sign: the divide returns the numerator's NaN. Five ufunc calls
+    (-|v| is one copysign); both exponents share one buffer and one exp."""
     e = np.empty((2,) + tuple(shape))
     num, den = e[0, ...], e[1, ...]  # views, also of a 0-d input's pair
-    minimum, negative, exp, add, divide = (np.minimum, np.negative, np.exp,
+    minimum, copysign, exp, add, divide = (np.minimum, np.copysign, np.exp,
                                            np.add, np.divide)
 
     def f(v, out):
         minimum(v, _ZERO, out=num)
-        negative(v, den)
-        minimum(v, den, out=den)
+        copysign(v, _MINUS_ONE, den)
         exp(e, e)
         add(_ONE, den, den)
         return divide(num, den, out)

@@ -6,10 +6,10 @@ what one product with a matrix it quantized counts. A full b_w-bit multiplier
 (``Float``, ``FixedUniform``) is at most b_w - 1 adders, a signed power of two
 (``PoT``) one barrel shift and no adder, a signed sum of k distinct powers of
 two (``APoT``) k shifts and k - 1 adders. PoT and APoT quantize a matrix in
-one numpy pass (APoT: per term, over compacted residuals) reading each nearest
-power of two off ``frexp``'s mantissa, bit-identical to their docstrings'
-per-weight rule. The module also implements magnitude pruning, weight-sharing
-clustering and the pruning-aware multiplication count ``effective_rm``.
+masked whole-array passes, reading each nearest power of two off ``frexp``'s
+mantissa, bit-identical to their docstrings' per-weight rule. The module also
+implements magnitude pruning, weight-sharing clustering and the pruning-aware
+multiplication count ``effective_rm``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Float(QuantScheme):
     b_w: int = 32
 
     def quantizer(self, weights) -> QuantizedWeights:
-        w = np.asarray(weights, dtype=float)
+        w = _finite_weights(weights)[0]
         return QuantizedWeights(self, w.copy(), w == 0.0)
 
 
@@ -189,8 +189,8 @@ class QuantizedWeights:
 def _finite_weights(weights) -> tuple[np.ndarray, float]:
     """Weights as a float array, rejecting NaN and infinities, and max|w|."""
     w = np.asarray(weights, dtype=float)
-    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
-    if not math.isfinite(max_abs):  # NaN propagates through max
+    max_abs = float(max(w.max(), -w.min())) if w.size else 0.0
+    if not math.isfinite(max_abs):  # NaN propagates through max and min
         raise DomainError("weights must be finite")
     return w, max_abs
 
@@ -218,17 +218,18 @@ def quantize_uniform(weights, b_w: int) -> QuantizedWeights:
                             scale=scale)
 
 
-def _nearest_exponents(magnitudes: np.ndarray, e_min: int,
-                       ties_up: bool) -> np.ndarray:
+def _nearest_exponents(magnitudes: np.ndarray, e_min: int, ties_up: bool,
+                       out=(None, None, None)) -> np.ndarray:
     """Per positive magnitude, the exponent in [e_min, 0] of the closest
     power of two. Exact ties go up if ``ties_up`` (PoT), else down (APoT
     residuals: later terms can still cancel an undershoot). With m = f *
     2**e from frexp, f in [0.5, 1), the errors to 2**(e-1) and 2**e are
     (f - 0.5) * 2**e and (1 - f) * 2**e, both exact by Sterbenz's lemma, so
     comparing them is comparing f with 0.75; the clamp then keeps the
-    nearest power in range, and the pick is never below -1074."""
-    mantissa, e = np.frexp(magnitudes)  # e stays int32: ldexp's fast path
-    e -= mantissa < 0.75 if ties_up else mantissa <= 0.75
+    nearest power in range, and the pick is never below -1074. ``out``
+    may give buffers for the mantissa, the exponents and the compare."""
+    mantissa, e = np.frexp(magnitudes, out[0], out[1])  # int32: fast ldexp
+    e -= (np.less if ties_up else np.less_equal)(mantissa, 0.75, out[2])
     return e.clip(max(e_min, -1074), 0, out=e)
 
 
@@ -242,54 +243,53 @@ def quantize_pot(weights, b_w: int) -> QuantizedWeights:
     scheme = PoT(b_w)
     w, max_abs = _finite_weights(weights)
     scale = max(max_abs, 1.0)
-    nonzero = w != 0.0
-    e = _nearest_exponents(np.abs(w[nonzero]) / scale,
-                           -_pot_exponent_range(b_w), ties_up=True)
-    exponents = np.zeros(w.shape, dtype=np.int64)
-    exponents[nonzero] = e
-    values = np.zeros(w.shape)
-    values[nonzero] = np.ldexp(1.0, e) * scale
-    np.copysign(values, w, out=values, where=nonzero)
-    return QuantizedWeights(scheme, values, ~nonzero, scale=scale,
-                            signs=np.sign(w).astype(np.int64),
-                            exponents=exponents)
+    sign, values = np.sign(w), np.abs(w.reshape(-1))  # sign(-0.0) is +0.0
+    values /= scale
+    e = _nearest_exponents(values, -_pot_exponent_range(b_w), ties_up=True,
+                           out=(values, None, None))
+    np.ldexp(sign.reshape(-1), e, values)  # +-2**e, +0.0 for a zero weight
+    values *= scale
+    sign, zero = sign.astype(np.int64), w == 0.0
+    exponents = e.astype(np.int64).reshape(w.shape)
+    np.copyto(exponents, 0, where=zero)
+    return QuantizedWeights(scheme, values.reshape(w.shape), zero,
+                            scale=scale, signs=sign, exponents=exponents)
 
 
 def quantize_apot(weights, b_w: int, k_terms: int) -> QuantizedWeights:
     """Quantize to signed sums of up to k_terms distinct powers of two.
 
-    Greedy per weight, all weights in one pass per term: each step adds
-    the exponent nearest the residual; a weight stops once its residual is
-    0 or the term does not strictly reduce the error (after a term 2**e a
-    residual is at most 2**(e-1), so e repeats only where e_min clamps it,
-    and then fails that test). Never worse than PoT at equal b_w.
+    Greedy per weight, all weights in one whole-array pass per term: each
+    step adds the exponent nearest the residual; a weight stops once its
+    residual is 0 or the term does not strictly reduce the error (after a
+    term 2**e a residual is at most 2**(e-1), so e repeats only where e_min
+    clamps it, and then fails that test). Never worse than PoT at equal b_w.
     """
     scheme = APoT(b_w, k_terms)
     e_min = -_pot_exponent_range(b_w)
     w, max_abs = _finite_weights(weights)
     scale = max(max_abs, 1.0)
-    flat = w.reshape(-1)
-    residual = np.abs(flat) / scale
-    table = np.zeros((flat.size, k_terms), dtype=np.int16)
-    counts = np.zeros(flat.size, dtype=np.int8)
-    total = np.zeros(flat.size)
-    active = np.flatnonzero(residual)
-    r = residual[active]  # the residuals of ``active``, carried compacted
+    table = np.zeros((w.size, k_terms), dtype=np.int16)
+    counts, total = np.zeros(w.size, dtype=np.int8), np.zeros(w.size)
+    r, power = np.abs(w.reshape(-1)), np.empty(w.size)  # residuals, terms
+    e, keep = np.empty(w.size, dtype=np.int32), np.empty(w.size, dtype=bool)
+    r /= scale
     for t in range(k_terms):
-        e = _nearest_exponents(r, e_min, ties_up=False)
-        power = np.ldexp(1.0, e)
-        keep = power < r + r  # |r - power| < r, exact for r <= 1
-        kept = active[keep]
-        table[kept, t] = e[keep]
-        counts[kept] = t + 1
-        total[kept] += power[keep]
-        r -= power  # < 0 wherever the term was not kept
-        active, r = active[r > 0.0], r[r > 0.0]
-    total *= scale
-    np.copysign(total, flat, out=total, where=flat != 0.0)
-    return QuantizedWeights(scheme, total.reshape(w.shape), w == 0.0,
-                            scale=scale, signs=np.sign(w).astype(np.int64),
-                            term_exponents=table, term_counts=counts)
+        _nearest_exponents(r, e_min, False, out=(power, e, keep))
+        np.ldexp(0.5, e, power)  # 2**-1075 rounds to 0, and 0 < r keeps
+        np.less(power, r, keep)  # |r - 2**e| < r, exact for r <= 1
+        np.multiply(e, keep, table[:, t])
+        counts += keep
+        np.ldexp(keep, e, power, dtype=float)  # 2**e or 0, in float64
+        total += power  # a stopped weight's sum and residual stay put, so
+        r -= power      # its verdict stays no
+    del r, power, e, keep  # before the signs' temporaries: a lower peak
+    sign, values = np.sign(w), total.reshape(w.shape)
+    values *= scale
+    values *= sign  # copysign for a nonzero weight, +0.0 for a zero one
+    return QuantizedWeights(scheme, values, w == 0.0, scale=scale,
+                            signs=sign.astype(np.int64), term_exponents=table,
+                            term_counts=counts)
 
 
 def quantize(weights, scheme: QuantScheme) -> QuantizedWeights:

@@ -985,6 +985,12 @@ class TestInputQuantization:
             run_layer(cell, random_weights(cell, 0), x, mode)
         run_layer(spec, w, np.array([0.5, bad, -0.2]))  # float: no check
 
+    def test_non_finite_weight_rejected_under_the_float_scheme(self):
+        w = DenseWeights(W=np.array([[np.nan, 1.0]]), b=np.zeros(1))
+        with pytest.raises(DomainError, match="weights must be finite"):
+            run_layer(Dense(1, 2), w, np.ones(2),
+                      FixedPoint(BitwidthConfig(8, 8, 8), quant.Float(8)))
+
 
 class TestExecutionConfig:
     NET = NetworkSpec("m", (Dense(4, 3), LSTM(3, 2, 4)))

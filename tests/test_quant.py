@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,6 +166,9 @@ class TestNonFinite:
         lambda w: quantize(w, APoT(8, 3)),
         lambda w: cluster_weights(w, 2),
         lambda w: magnitude_prune(w, 0.34),
+        lambda w: quantize(w, Float(8)),
+        lambda w: quantize(w, FixedUniform(8)),
+        lambda w: quantize_uniform(w, 8),
     )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -172,6 +176,25 @@ class TestNonFinite:
     def test_rejected(self, bad, which):
         with pytest.raises(DomainError, match="weights must be finite"):
             self.QUANTIZERS[which](np.array([[0.5, bad], [0.0, -0.25]]))
+
+
+class TestTemporaryMemory:
+    """Traced memory a quantizer holds at its peak above the result it
+    returns, on a 128 x 128 matrix: no full-size temporary per term."""
+
+    @pytest.mark.parametrize("scheme, bound", [
+        (PoT(8), 1.0), (APoT(8, 2), 2.5), (APoT(8, 3), 2.5)], ids=str)
+    def test_peak_above_result(self, scheme, bound):
+        w = np.random.default_rng(26).uniform(-1.0, 1.0, (128, 128))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            qw = quantize(w, scheme)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert qw.values.shape == w.shape
+        assert peak - current <= bound * w.nbytes
 
 
 def _ladder_x_w(scheme):
@@ -333,9 +356,40 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _ref_quantize_uniform(w, b_w):
+    """quantize_uniform's expression when its bitwise test was added, kept
+    verbatim: values, codes, zero_mask and scale."""
+    max_abs = float(np.max(np.abs(w))) if w.size else 0.0
+    if max_abs == 0.0:
+        return (np.zeros_like(w), np.zeros(w.shape, dtype=np.int64),
+                np.ones(w.shape, dtype=bool), 1.0)
+    q_max = (1 << (b_w - 1)) - 1
+    scale = max_abs / q_max
+    # the largest double <= q_max: float() rounds q_max up from b_w = 55 on
+    limit = math.nextafter(q_max, 0.0) if float(q_max) > q_max else q_max
+    codes = np.minimum(np.maximum(np.rint(w / scale), -limit),
+                       limit).astype(np.int64)
+    values = codes * scale
+    return values, codes, codes == 0, scale
+
+
 @pytest.mark.kernel
-@pytest.mark.parametrize("b_w", [2, 3, 4, 8, 16, 64])
 class TestMatchesPerWeightReference:
+    @pytest.mark.parametrize("b_w", [2, 3, 4, 8, 16, 53, 54, 55, 64])
+    def test_uniform(self, b_w):
+        for name, w in _bitwise_cases().items():
+            qw = quantize_uniform(w, b_w)
+            values, codes, zero_mask, scale = _ref_quantize_uniform(w, b_w)
+            assert qw.values.shape == w.shape, name
+            np.testing.assert_array_equal(_bits(qw.values), _bits(values),
+                                          err_msg=name)
+            assert qw.codes.dtype == np.int64, name
+            np.testing.assert_array_equal(qw.codes, codes, err_msg=name)
+            np.testing.assert_array_equal(qw.zero_mask, zero_mask,
+                                          err_msg=name)
+            assert qw.scale == scale, name
+
+    @pytest.mark.parametrize("b_w", [2, 3, 4, 8, 16, 64])
     def test_pot(self, b_w):
         for name, w in _bitwise_cases().items():
             qw = quantize_pot(w, b_w)
@@ -357,6 +411,7 @@ class TestMatchesPerWeightReference:
                 "signs": signs.tolist(), "exponents": exponents.tolist(),
             }), name
 
+    @pytest.mark.parametrize("b_w", [2, 3, 4, 8, 16, 64])
     def test_apot(self, b_w):
         for k in range(1, min(b_w - 1, 5) + 1):
             for name, w in _bitwise_cases().items():
