@@ -471,6 +471,16 @@ class TestExpectedImprovement:
         with pytest.raises(DomainError):
             expected_improvement(0.0, -1.0, 0.0)
 
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 0.5, 5.9, 6.0, 27.0, 1e300,
+                                   math.inf])
+    def test_erf_sign_and_range(self, x):
+        """The premise of propose_next's bounds: libm's erf lies in
+        [-1, 1] and has the sign of its argument, signed zeros included."""
+        for v in (x, -x):
+            got = math.erf(v)
+            assert -1.0 <= got <= 1.0
+            assert math.copysign(1.0, got) == math.copysign(1.0, v)
+
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(3)
         mu = rng.normal(scale=5, size=1000)
@@ -530,6 +540,112 @@ class TestPropose:
         with pytest.raises(InfeasibleSpace):
             propose_next(model, CubeSpace(1), f_plus=1.0,
                          constraint=reject_all, seed=0)
+
+
+class TestShapeMismatch:
+    """Shapes that do not fit raise DimensionMismatch naming both, rather
+    than being broadcast or failing inside numpy."""
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (0.5, np.array([1.0, 2.0, 0.1])),
+        (np.array([1.0, 2.0, 0.1]), 0.5),
+        (np.zeros(3), np.ones(2)),
+        (np.zeros((2, 1)), np.ones(2)),
+    ], ids=["scalar-mu", "scalar-sigma", "lengths", "2d-mu"])
+    def test_expected_improvement(self, mu, sigma):
+        with pytest.raises(DimensionMismatch) as err:
+            expected_improvement(mu, sigma, 0.0)
+        assert str(np.shape(mu)) in str(err.value)
+        assert str(np.shape(sigma)) in str(err.value)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (2, 3, 2), (5, 1)],
+                             ids=["0d", "point", "batch", "3d", "columns"])
+    def test_gp_predict(self, shape):
+        model = gp_fit([trial([0.1, 0.2], 1.0), trial([0.7, 0.4], 2.0)])
+        with pytest.raises(DimensionMismatch) as err:
+            gp_predict(model, np.full(shape, 0.5))
+        assert str(shape) in str(err.value)
+        assert str(model.X.shape) in str(err.value)
+
+
+@pytest.mark.kernel
+class TestEIArgmaxMatchesFullPool:
+    """propose_next computes the expected improvement only at the rows its
+    erf-free bounds keep; the row it picks is the full pool's argmax,
+    earliest-drawn among ties."""
+
+    @staticmethod
+    def full_argmax(mu, sigma, f_plus):
+        return int(np.argmax(expected_improvement(mu, sigma, f_plus)))
+
+    @pytest.mark.parametrize("size", [1, 2, 17, 500, 1471, 2047, 2048])
+    def test_propose_next(self, size):
+        def first_rows(pool):
+            return np.arange(len(pool)) < size
+
+        rng = np.random.default_rng([61, size])
+        for i in range(6):
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(2, 25))
+            trials = [trial(x, float(rng.normal()))
+                      for x in rng.uniform(size=(n, d))]
+            model = gp_fit(trials, GPParams(rng.uniform(0.1, 1.0, d)))
+            best = max(t.score for t in trials)
+            # at best + 100 the expected improvement is 0 everywhere
+            for f_plus in (best, best - 1.0, best + 100.0):
+                seed = [61, size, i]
+                cands = bayesopt._draw_feasible(np.random.default_rng(seed),
+                                                d, first_rows)
+                assert len(cands) == size
+                mu, sigma = gp_predict(model, cands)
+                got = propose_next(model, CubeSpace(d), f_plus, first_rows,
+                                   seed=seed)
+                np.testing.assert_array_equal(
+                    got, cands[self.full_argmax(mu, sigma, f_plus)])
+
+    @staticmethod
+    def pools(rng):
+        """(kind, mu, sigma, f_plus) of 1 to 2048 rows."""
+        kinds = ("drawn", "ties", "sigma-zero", "ei-zero", "gains-positive",
+                 "subnormal", "wide-z")
+        for i in range(210):
+            kind = kinds[i % len(kinds)]
+            m = int(rng.integers(1, 2049))
+            mu = rng.normal(size=m)
+            sigma = rng.uniform(0.01, 1.5, m)
+            f_plus = float(rng.normal(1.0))
+            if kind == "ties":  # a few distinct rows, each many times over
+                rows = rng.integers(0, int(rng.integers(1, 6)), m)
+                mu, sigma = mu[rows], sigma[rows]
+            elif kind == "sigma-zero":
+                sigma[rng.uniform(size=m) < 0.2] = 0.0
+            elif kind == "ei-zero":
+                f_plus = float(mu.max() + 50.0 * sigma.max())
+            elif kind == "gains-positive":
+                f_plus = float(mu.min()) - float(rng.uniform(0.0, 0.5))
+            elif kind == "subnormal":  # gains of a few 5e-324 steps
+                f_plus = 0.0
+                mu = rng.integers(-4, 5, m) * 5e-324
+                sigma = rng.choice([1e-323, 3e-323, 1e-300, 1.0], m)
+            elif kind == "wide-z":  # |z| from 50 to 10^4
+                sigma = rng.uniform(1e-4, 1e-3, m)
+                mu = f_plus + rng.choice([-1.0, 1.0], m) * rng.uniform(
+                    0.05, 1.0, m)
+            yield kind, mu, sigma, f_plus
+
+    def test_crafted_pools(self):
+        seen, tied = set(), 0
+        for kind, mu, sigma, f_plus in self.pools(np.random.default_rng(62)):
+            want = self.full_argmax(mu, sigma, f_plus)
+            assert bayesopt._ei_argmax(mu, sigma, f_plus) == want, kind
+            ei = expected_improvement(mu, sigma, f_plus)
+            if kind == "ei-zero":
+                assert not ei.any()
+            if kind == "ties":
+                tied += np.count_nonzero(ei == ei[want]) > 1
+            seen.add(kind)
+        assert len(seen) == 7
+        assert tied == 30
 
 
 class TestBOLoop:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -379,7 +380,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("field", ["dimensions", "template"])
     def test_missing_space_field_exit_2(self, command, field, space_file,
                                         task_file, tmp_path, capsys):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         del doc[field]
         space = tmp_path / "bad_space.json"
         space.write_text(json.dumps(doc))
@@ -389,7 +390,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("command", ["search", "sweep"])
     def test_unknown_template_dimension_exit_2(self, command, space_file,
                                                task_file, tmp_path, capsys):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         doc["template"]["layers"][0]["n_o"] = "$outputs"
         space = tmp_path / "bad_space.json"
         space.write_text(json.dumps(doc))
@@ -400,7 +401,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("command", ["search", "sweep"])
     def test_duplicate_dimension_name_exit_2(self, command, space_file,
                                              task_file, tmp_path, capsys):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         doc["dimensions"].append({"name": "res", "kind": "int", "low": 100,
                                   "high": 200})
         space = tmp_path / "bad_space.json"
@@ -414,7 +415,7 @@ class TestInputErrors:
                              ids=["object", "array", "null", "float", "int"])
     def test_non_string_dimension_name_exit_2(self, command, name, space_file,
                                               task_file, tmp_path, capsys):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         doc["dimensions"].append({"name": name, "kind": "int", "low": 1,
                                   "high": 2})
         space = tmp_path / "bad_space.json"
@@ -441,7 +442,7 @@ class TestInputErrors:
     def test_float_bound_beyond_float_range_exit_2(self, command, low, high,
                                                    space_file, task_file,
                                                    tmp_path, capsys):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         doc["dimensions"].append({"name": "leak", "kind": "float",
                                   "low": low, "high": high})
         doc["template"]["layers"][0]["leak"] = "$leak"
@@ -456,7 +457,7 @@ class TestInputErrors:
     def test_float_dimension_feeding_count_exit_2(self, command, space_file,
                                                   task_file, tmp_path,
                                                   capsys):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         doc["dimensions"][0] = {"name": "res", "kind": "float", "low": 2,
                                 "high": 16}
         space = tmp_path / "bad_space.json"
@@ -469,7 +470,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("command", ["search", "sweep"])
     def test_fractional_int_bound_exit_2(self, command, space_file,
                                          task_file, tmp_path, capsys):
-        doc = json.loads(open(space_file).read())
+        doc = json.loads(Path(space_file).read_text())
         doc["dimensions"][0]["low"] = 2.5
         space = tmp_path / "bad_space.json"
         space.write_text(json.dumps(doc))
@@ -480,7 +481,7 @@ class TestInputErrors:
 
     def test_template_not_object_exit_2(self, space_file, task_file,
                                         tmp_path, capsys):
-        doc = {**json.loads(open(space_file).read()), "template": []}
+        doc = {**json.loads(Path(space_file).read_text()), "template": []}
         space = tmp_path / "bad_space.json"
         space.write_text(json.dumps(doc))
         assert main(_argv("search", space, task_file)) == 2

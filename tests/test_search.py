@@ -487,6 +487,28 @@ class TestCostMemo:
             "805ec7ebb450ad60b69a9b074bbfd99a"
             "21c54cae7a4d59e97939e5f3b969f531")
 
+    def test_criterion_10_sweep_calls_erf_on_few_rows(self, monkeypatch):
+        """Each acquisition computes erf only at the pool rows its bounds
+        keep: about a quarter of those scored on this sweep."""
+        scored, erf_rows = [], []
+        gp_predict, erf = bayesopt.gp_predict, bayesopt._erf
+
+        def counted_predict(model, theta):
+            scored.append(len(theta))
+            return gp_predict(model, theta)
+
+        def counted_erf(x):
+            erf_rows.append(x.size)
+            return erf(x)
+
+        monkeypatch.setattr(bayesopt, "gp_predict", counted_predict)
+        monkeypatch.setattr(bayesopt, "_erf", counted_erf)
+        task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
+        complexity_sweep(dense_space(), task, [100, 500, 2000, 10_000],
+                         iters=3, seed=0, n_init=3, k=3)
+        assert len(scored) == 12
+        assert sum(erf_rows) <= 0.4 * sum(scored)
+
 
 class TestPoolScreen:
     SPACES = (
