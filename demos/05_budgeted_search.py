@@ -36,9 +36,13 @@ space = nc.SearchSpace(
     metric="nabs",
 )
 
+# Every candidate is scored under one protocol: the task, a 3-fold plan,
+# and the seed of both the fold shuffle and the fixed layer weights.
+evaluation = nc.Evaluation(task, folds=3, seed=0)
+
 budgets = [30_000, 120_000, 500_000, 2_000_000]
-result = nc.complexity_sweep(space, task, budgets, iters=8, seed=0,
-                             n_init=4, k=3)
+result = nc.complexity_sweep(space, evaluation, budgets, iters=8, seed=0,
+                             n_init=4)
 
 print(f"\n{'budget':>10} {'best score':>12} {'NABS':>10}  best params")
 for point in result.points:

@@ -13,15 +13,17 @@ from .interp import (FixedPoint, OpCounters, audit, fir_filter, iir_filter,
 from .quant import (APoT, FixedUniform, Float, PoT, cluster_weights,
                     effective_rm, magnitude_prune, quantize_apot,
                     quantize_pot, quantize_uniform, x_w)
-from .search import (Dimension, SearchSpace, Task, complexity_sweep, featurize,
-                     kfold_score, kfold_split, synth_task_fir)
+from .search import (Dimension, Evaluation, SearchSpace, Task,
+                     complexity_sweep, featurize, kfold_score, kfold_split,
+                     synth_task_fir)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "APoT", "BitwidthConfig", "Conv1D", "CostReport", "Dense", "Dimension",
-    "EchoState", "FixedPoint", "FixedUniform", "Float", "GPParams",
-    "GRU", "LSTM", "NetworkSpec", "OpCounters", "PoT", "SearchSpace", "Task",
+    "EchoState", "Evaluation", "FixedPoint", "FixedUniform", "Float",
+    "GPParams", "GRU", "LSTM", "NetworkSpec", "OpCounters", "PoT",
+    "SearchSpace", "Task",
     "Trial", "VanillaRNN", "acc_bits", "audit", "bo_optimize", "bop_layer",
     "cluster_weights", "complexity_sweep", "conv1d_output_size", "cost_report",
     "effective_rm", "expected_improvement", "featurize",

@@ -126,23 +126,24 @@ def cmd_validate(args) -> int:
     return 3
 
 
-def _space_and_task(args) -> tuple[search.SearchSpace, search.Task]:
+def _space_and_evaluation(args) -> tuple[search.SearchSpace,
+                                          search.Evaluation]:
+    """The space, and its task scored under --folds and --seed."""
     space = search.SearchSpace.from_json(_load_json(args.space))
     task = search.task_from_json(_load_json(args.task))
     if not 2 <= args.folds <= task.targets.size:
         raise SpecSyntaxError(f"--folds {args.folds} must satisfy 2 <= folds "
                               f"<= n_samples ({task.targets.size})")
-    return space, task
+    return space, search.Evaluation(task, args.folds, args.seed)
 
 
 def cmd_search(args) -> int:
     _at_least(args, seed=0, iters=1, init=1)
-    space, task = _space_and_task(args)
+    space, evaluation = _space_and_evaluation(args)
     if args.budget_nabs is not None:
         space = dataclasses.replace(space, metric="nabs",
                                     budget=args.budget_nabs)
-    objective = search.make_objective(space, task, k=args.folds,
-                                      eval_seed=args.seed)
+    objective = search.make_objective(space, evaluation)
     # space.screen also rejects structurally invalid candidates (e.g.
     # zero-width convolutions), with or without a budget.
     best, history = bayesopt.bo_optimize(
@@ -167,12 +168,12 @@ def cmd_sweep(args) -> int:
     if budgets != sorted(budgets):
         raise SpecSyntaxError(
             f"--budgets {args.budgets}: must be sorted ascending")
-    space, task = _space_and_task(args)
+    space, evaluation = _space_and_evaluation(args)
     if args.metric is not None:
         space = dataclasses.replace(space, metric=args.metric)
-    result = search.complexity_sweep(space, task, budgets, iters=args.iters,
-                                     seed=args.seed, n_init=args.init,
-                                     k=args.folds)
+    result = search.complexity_sweep(space, evaluation, budgets,
+                                     iters=args.iters, seed=args.seed,
+                                     n_init=args.init)
     _emit(result.to_csv(), args.output)
     best = max(result.points, key=lambda p: p.best_score)
     print(f"best over sweep: score {search.format_score(best.best_score)} "
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--init", type=int, default=5)
     srch.add_argument("--seed", type=int, default=0)
     srch.add_argument("--budget-nabs", type=int, default=None)
-    srch.add_argument("--folds", type=int, default=3)
+    srch.add_argument("--folds", type=int, default=search.Evaluation.folds)
     srch.add_argument("-o", "--output", default=None)
     srch.set_defaults(func=cmd_search)
 
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--init", type=int, default=5)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--metric", choices=("rm", "bop", "nabs"), default=None)
-    swp.add_argument("--folds", type=int, default=3)
+    swp.add_argument("--folds", type=int, default=search.Evaluation.folds)
     swp.add_argument("-o", "--output", default=None)
     swp.set_defaults(func=cmd_sweep)
     return parser

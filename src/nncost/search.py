@@ -490,7 +490,7 @@ class SearchSpace:
 # Tasks and cross-validation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Task:
     """Input stream plus the targets a readout is fitted to."""
 
@@ -611,8 +611,7 @@ def _mean(values) -> float:
     return float(np.add.reduce(values) / values.size)
 
 
-def kfold_score(task: Task, net: NetworkSpec, k: int = 5,
-                seed: int = 0) -> float:
+def kfold_score(task: Task, net: NetworkSpec, k: int, seed: int) -> float:
     """Mean held-out score (negative MSE) over a seeded k-fold plan.
 
     Features are computed once on the full stream (they depend only on the
@@ -633,17 +632,44 @@ def kfold_score(task: Task, net: NetworkSpec, k: int = 5,
     return -_mean(mses)
 
 
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """The protocol every candidate is scored under: the task, the fold
+    count of the k-fold plan, and the seed of both the fold shuffle and
+    the layers' fixed weights. Made only with ``2 <= folds <= n_samples``
+    and an integer ``seed >= 0``; DomainError names the field at fault.
+    Compares and hashes by identity, like its task."""
+
+    task: Task
+    folds: int = 3
+    seed: int = 0
+
+    def __post_init__(self):
+        n = self.task.targets.size
+        if not (isinstance(self.folds, numbers.Integral)
+                and not isinstance(self.folds, bool) and 2 <= self.folds <= n):
+            raise DomainError(f"folds must be an integer with 2 <= folds <= "
+                              f"n_samples ({n}), got {self.folds!r}")
+        if not (isinstance(self.seed, numbers.Integral)
+                and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise DomainError(f"seed must be an integer >= 0, "
+                              f"got {self.seed!r}")
+
+    def score(self, net: NetworkSpec) -> float:
+        """``kfold_score`` of ``net`` under this protocol."""
+        return kfold_score(self.task, net, self.folds, self.seed)
+
+
 # ---------------------------------------------------------------------------
 # Constrained search and sweeps
 
 
-def make_objective(space: SearchSpace, task: Task, k: int = 3,
-                   eval_seed: int = 0):
+def make_objective(space: SearchSpace, evaluation: Evaluation):
     """Objective closure mapping a cube point to (score, cost totals).
 
-    The score depends only on the decoded architecture (given the task,
-    ``k`` and ``eval_seed``), so the closure scores each one once and
-    returns the same score when a later point decodes to it again.
+    The score depends only on the decoded architecture (given the
+    evaluation), so the closure scores each one once and returns the same
+    score when a later point decodes to it again.
     """
     scores: dict = {}
 
@@ -654,7 +680,7 @@ def make_objective(space: SearchSpace, task: Task, k: int = 3,
             net = space._network(key)
             if totals is None:  # raise the cost model's own error
                 costmodel.cost_report(net, space.bits, space.scheme)
-            scores[key] = kfold_score(task, net, k=k, seed=eval_seed)
+            scores[key] = evaluation.score(net)
         return scores[key], dict(zip(_METRICS, totals))
 
     return objective
@@ -718,18 +744,19 @@ class SweepResult:
         return buf.getvalue()
 
 
-def complexity_sweep(space: SearchSpace, task: Task, budgets, iters: int,
-                     seed: int, n_init: int = 5, k: int = 3) -> SweepResult:
+def complexity_sweep(space: SearchSpace, evaluation: Evaluation, budgets,
+                     iters: int, seed: int, n_init: int = 5) -> SweepResult:
     """One constrained optimization per budget, cheapest budget first.
 
-    Budget point i derives its seed as seed + i, so points are independent
-    and could run concurrently. Raises InfeasibleSpace for budgets below
-    the cheapest candidate architecture.
+    Every budget scores under ``evaluation``; budget point i derives its
+    search seed as seed + i, so points are independent and could run
+    concurrently. Raises InfeasibleSpace for budgets below the cheapest
+    candidate architecture.
     """
     budgets = list(budgets)
     if budgets != sorted(budgets):
         raise DomainError("budgets must be sorted ascending")
-    objective = make_objective(space, task, k=k, eval_seed=seed)
+    objective = make_objective(space, evaluation)
     points = []
     histories = []
     for i, budget in enumerate(budgets):

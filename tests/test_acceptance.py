@@ -304,9 +304,10 @@ def test_criterion_10_constrained_sweep():
         task = search.synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
         space = _sweep_space()
         for seed in range(20):
-            result = search.complexity_sweep(space, task, budgets,
-                                             iters=3, seed=seed, n_init=3,
-                                             k=3)
+            result = search.complexity_sweep(space,
+                                             search.Evaluation(task, 3, seed),
+                                             budgets, iters=3, seed=seed,
+                                             n_init=3)
             for budget, history in zip(budgets, result.histories):
                 assert all(t.cost["nabs"] <= budget for t in history), (
                     seed, budget)

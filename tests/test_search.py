@@ -13,12 +13,12 @@ import pytest
 
 from nncost import arch, bayesopt, costmodel, interp, quant, search
 from nncost.arch import Dense, EchoState, NetworkSpec
-from nncost.cli import main
+from nncost.cli import build_parser, main
 from nncost.errors import (DomainError, InfeasibleSpace, NNCostError,
                            SchemaError)
-from nncost.search import (Dimension, SearchSpace, Task, complexity_sweep,
-                           featurize, kfold_score, kfold_split,
-                           synth_task_fir, task_from_json)
+from nncost.search import (Dimension, Evaluation, SearchSpace, Task,
+                           complexity_sweep, featurize, kfold_score,
+                           kfold_split, synth_task_fir, task_from_json)
 
 
 def esn_space(budget=None, metric="nabs"):
@@ -117,6 +117,21 @@ def counted_cost_report(monkeypatch):
 
     monkeypatch.setattr(costmodel, "cost_report", counted)
     return seen
+
+
+def esn_search_files(tmp_path):
+    """Paths of an ESN space under a NABS budget of 60000 and its task, as
+    ``nncost search`` reads them."""
+    space, task = tmp_path / "space.json", tmp_path / "task.json"
+    space.write_text(json.dumps({
+        "dimensions": [
+            {"name": "res", "kind": "int", "low": 2, "high": 24},
+            {"name": "leak", "kind": "float", "low": 0.2, "high": 1.0}],
+        "template": esn_space().template,
+        "constraint": {"metric": "nabs", "budget": 60000}}))
+    task.write_text(json.dumps({"taps": [0.8, 0.3], "noise_std": 0.05,
+                                "n_samples": 60, "seed": 4}))
+    return str(space), str(task)
 
 
 def sha256(text):
@@ -266,6 +281,51 @@ class TestKFoldScore:
         assert a == b
 
 
+class TestEvaluation:
+    def test_score_is_kfold_score(self):
+        task = synth_task_fir([0.7, 0.3], 0.05, 48, seed=1)
+        net = NetworkSpec("m", (Dense(6, 3, activation="tanh"),))
+        assert (Evaluation(task, 4, 2).score(net)
+                == kfold_score(task, net, 4, 2))
+        assert Evaluation(task).score(net) == kfold_score(task, net, 3, 0)
+
+    def test_task_and_evaluation_compare_by_identity(self):
+        """Two arrays have no single truth value, so equal fields must not
+        be compared; both classes hash without raising."""
+        a = synth_task_fir([1.0], 0.0, 5, 0)
+        b = synth_task_fir([1.0], 0.0, 5, 0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        ea, eb = Evaluation(a), Evaluation(a)
+        assert ea == ea and ea != eb
+        assert len({ea, eb, ea}) == 2
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"folds": 1}, "folds"), ({"folds": 11}, "folds"),
+        ({"folds": 3.0}, "folds"), ({"folds": True}, "folds"),
+        ({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"),
+        ({"seed": None}, "seed"),
+    ])
+    def test_rejected_when_made(self, fields, named):
+        task = synth_task_fir([1.0], 0.0, 10, seed=0)
+        with pytest.raises(DomainError) as err:
+            Evaluation(task, **fields)
+        assert str(err.value).startswith(f"{named} must be an integer")
+
+    def test_bounds_accepted(self):
+        task = synth_task_fir([1.0], 0.0, 10, seed=0)
+        net = NetworkSpec("m", (Dense(2, 2),))
+        for folds in (2, 10):
+            Evaluation(task, folds, np.int64(7)).score(net)
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_cli_folds_default_is_evaluation_default(self, command):
+        argv = [command, "space.json", "task.json"]
+        if command == "sweep":
+            argv += ["--budgets", "1"]
+        assert build_parser().parse_args(argv).folds == Evaluation.folds == 3
+
+
 class TestSpace:
     def test_decode_and_build(self):
         space = esn_space()
@@ -309,7 +369,7 @@ class TestSpace:
         space = esn_space(budget=10 ** 8, metric="NABS")
         assert space.metric == "nabs"
         task = synth_task_fir([1.0], 0.0, 36, seed=0)
-        objective = search.make_objective(space, task, k=3, eval_seed=0)
+        objective = search.make_objective(space, Evaluation(task, 3, 0))
         _, history = bayesopt.bo_optimize(objective, space, max_iters=1,
                                           n_init=2, seed=0,
                                           constraint=space.screen)
@@ -335,9 +395,9 @@ class TestSweep:
     def test_single_budget_matches_direct_bo(self):
         space = esn_space()
         task = synth_task_fir([0.8, 0.3], 0.05, 60, seed=4)
-        result = complexity_sweep(space, task, [10 ** 8], iters=2, seed=1,
-                                  n_init=2, k=3)
-        objective = search.make_objective(space, task, k=3, eval_seed=1)
+        result = complexity_sweep(space, Evaluation(task, 3, 1), [10 ** 8],
+                                  iters=2, seed=1, n_init=2)
+        objective = search.make_objective(space, Evaluation(task, 3, 1))
         best, _ = bayesopt.bo_optimize(
             objective, space, max_iters=2, n_init=2, seed=1,
             constraint=lambda pool: space.screen(pool, budget=10 ** 8))
@@ -347,28 +407,30 @@ class TestSweep:
         space = esn_space()
         task = synth_task_fir([1.0], 0.0, 30, seed=0)
         with pytest.raises(InfeasibleSpace):
-            complexity_sweep(space, task, [0], iters=1, seed=0, n_init=1)
+            complexity_sweep(space, Evaluation(task), [0], iters=1, seed=0,
+                             n_init=1)
 
     def test_unsorted_budgets_rejected(self):
         space = esn_space()
         task = synth_task_fir([1.0], 0.0, 30, seed=0)
         with pytest.raises(DomainError):
-            complexity_sweep(space, task, [100, 50], iters=1, seed=0)
+            complexity_sweep(space, Evaluation(task), [100, 50], iters=1,
+                             seed=0)
 
     def test_deterministic_csv(self):
         space = esn_space()
         task = synth_task_fir([0.8, 0.3], 0.05, 48, seed=4)
-        a = complexity_sweep(space, task, [30_000, 10 ** 8], iters=2, seed=2,
-                             n_init=2, k=3).to_csv()
-        b = complexity_sweep(space, task, [30_000, 10 ** 8], iters=2, seed=2,
-                             n_init=2, k=3).to_csv()
+        a = complexity_sweep(space, Evaluation(task, 3, 2), [30_000, 10 ** 8],
+                             iters=2, seed=2, n_init=2).to_csv()
+        b = complexity_sweep(space, Evaluation(task, 3, 2), [30_000, 10 ** 8],
+                             iters=2, seed=2, n_init=2).to_csv()
         assert a == b
 
     def test_constraint_soundness(self):
         space = esn_space()
         task = synth_task_fir([0.8, 0.3], 0.05, 48, seed=4)
         for budget in (30_000, 200_000):
-            objective = search.make_objective(space, task, k=3, eval_seed=0)
+            objective = search.make_objective(space, Evaluation(task, 3, 0))
             _, history = bayesopt.bo_optimize(
                 objective, space, max_iters=3, n_init=3, seed=0,
                 constraint=lambda pool: space.screen(pool, budget=budget))
@@ -377,7 +439,7 @@ class TestSweep:
     def test_history_csv_columns(self):
         space = esn_space(budget=10 ** 8)
         task = synth_task_fir([1.0], 0.0, 36, seed=0)
-        objective = search.make_objective(space, task, k=3, eval_seed=0)
+        objective = search.make_objective(space, Evaluation(task, 3, 0))
         _, history = bayesopt.bo_optimize(objective, space, max_iters=1,
                                           n_init=2, seed=0,
                                           constraint=space.screen)
@@ -391,7 +453,7 @@ class TestSweep:
     def test_history_csv_names_constraint_metric(self, metric):
         space = esn_space(budget=10 ** 8, metric=metric)
         task = synth_task_fir([1.0], 0.0, 36, seed=0)
-        objective = search.make_objective(space, task, k=3, eval_seed=0)
+        objective = search.make_objective(space, Evaluation(task, 3, 0))
         _, history = bayesopt.bo_optimize(objective, space, max_iters=1,
                                           n_init=2, seed=0,
                                           constraint=space.screen)
@@ -409,8 +471,8 @@ class TestCostMemo:
     def test_sweep_costs_each_architecture_once(self, monkeypatch):
         seen = counted_cost_report(monkeypatch)
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
-        complexity_sweep(dense_space(), task, [100, 500, 2000, 10_000],
-                         iters=3, seed=0, n_init=3, k=3)
+        complexity_sweep(dense_space(), Evaluation(task, 3, 0),
+                         [100, 500, 2000, 10_000], iters=3, seed=0, n_init=3)
         assert 0 < len(seen) <= 64
         assert len({arch.serialize(net) for net in seen}) == len(seen)
 
@@ -427,7 +489,7 @@ class TestCostMemo:
     def test_objective_totals_match_fresh_cost_report(self):
         space = conv_space()
         task = synth_task_fir([1.0], 0.0, 30, seed=0)
-        objective = search.make_objective(space, task, k=3)
+        objective = search.make_objective(space, Evaluation(task, 3))
         theta = np.array([0.2, 0.9, 0.5])
         assert space.feasible(theta)
         _, cost = objective(theta)
@@ -442,8 +504,8 @@ class TestCostMemo:
         assert not space.feasible(theta)
         assert not space.feasible(theta, budget=10 ** 9)
         assert len(seen) == 1
-        objective = search.make_objective(space, synth_task_fir(
-            [1.0], 0.0, 30, seed=0), k=3)
+        objective = search.make_objective(space, Evaluation(synth_task_fir(
+            [1.0], 0.0, 30, seed=0), 3))
         with pytest.raises(NNCostError):
             objective(theta)
 
@@ -460,32 +522,53 @@ class TestCostMemo:
     @pytest.mark.kernel
     def test_criterion_10_sweep_csv_pinned(self):
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
-        csv = complexity_sweep(dense_space(), task, [100, 500, 2000, 10_000],
-                               iters=3, seed=0, n_init=3, k=3).to_csv()
+        csv = complexity_sweep(dense_space(), Evaluation(task, 3, 0),
+                               [100, 500, 2000, 10_000], iters=3, seed=0,
+                               n_init=3).to_csv()
         assert sha256(csv) == ("6ec1508fe786a43455538e9c49f7e0cb"
                                "7327f0b2463643337b11cb514b5b5a78")
 
     @pytest.mark.kernel
     def test_search_history_csv_pinned(self, tmp_path):
-        space = tmp_path / "space.json"
-        task = tmp_path / "task.json"
+        space, task = esn_search_files(tmp_path)
         out = tmp_path / "history.csv"
-        space.write_text(json.dumps({
-            "dimensions": [
-                {"name": "res", "kind": "int", "low": 2, "high": 24},
-                {"name": "leak", "kind": "float", "low": 0.2, "high": 1.0}],
-            "template": {"name": "s", "layers": [
-                {"type": "esn", "n_i": 3, "N_r": "$res", "s_p": 0.4,
-                 "n_o": 1, "n_s": 6, "leak": "$leak",
-                 "activation": "tanh"}]},
-            "constraint": {"metric": "nabs", "budget": 60000}}))
-        task.write_text(json.dumps({"taps": [0.8, 0.3], "noise_std": 0.05,
-                                    "n_samples": 60, "seed": 4}))
-        assert main(["search", str(space), str(task), "--iters", "3",
+        assert main(["search", space, task, "--iters", "3",
                      "--init", "3", "--seed", "2", "-o", str(out)]) == 0
         assert sha256(out.read_text()) == (
             "805ec7ebb450ad60b69a9b074bbfd99a"
             "21c54cae7a4d59e97939e5f3b969f531")
+
+    @pytest.mark.kernel
+    def test_search_csv_pinned_at_folds_and_seed(self, tmp_path):
+        """``--folds 4 --seed 6`` reach the scorer: the CSV differs from
+        the ones at the default fold count or at seed 0."""
+        space, task = esn_search_files(tmp_path)
+        out = tmp_path / "history.csv"
+        assert main(["search", space, task, "--iters", "3", "--init", "3",
+                     "--seed", "6", "--folds", "4", "-o", str(out)]) == 0
+        assert sha256(out.read_text()) == (
+            "ac4cb6c5ca0ed4d3fc3d92e1e24a4865"
+            "5da688a603eb94cae34f172ed3ca7c90")
+
+    @pytest.mark.kernel
+    def test_sweep_csv_pinned_at_folds_and_seed(self, tmp_path):
+        """The criterion-10 sweep through the CLI at ``--folds 4 --seed
+        9``."""
+        space, task = tmp_path / "space.json", tmp_path / "task.json"
+        out = tmp_path / "sweep.csv"
+        space.write_text(json.dumps({
+            "dimensions": [{"name": "h", "kind": "int", "low": 1, "high": 8},
+                           {"name": "w", "kind": "int", "low": 1, "high": 8}],
+            "template": dense_space().template, "scheme": "pot"}))
+        task.write_text(json.dumps({"taps": [1.0, 0.4, 0.2],
+                                    "noise_std": 0.05, "n_samples": 160,
+                                    "seed": 88}))
+        assert main(["sweep", str(space), str(task), "--budgets",
+                     "100,500,2000,10000", "--iters", "3", "--init", "3",
+                     "--seed", "9", "--folds", "4", "-o", str(out)]) == 0
+        assert sha256(out.read_text()) == (
+            "f8f80192b4b503867e98cb4c997c0fb0"
+            "77d1b17674d02e7133d39bd3c04417ed")
 
     def test_criterion_10_sweep_calls_erf_on_few_rows(self, monkeypatch):
         """Each acquisition computes erf only at the pool rows its bounds
@@ -504,8 +587,8 @@ class TestCostMemo:
         monkeypatch.setattr(bayesopt, "gp_predict", counted_predict)
         monkeypatch.setattr(bayesopt, "_erf", counted_erf)
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
-        complexity_sweep(dense_space(), task, [100, 500, 2000, 10_000],
-                         iters=3, seed=0, n_init=3, k=3)
+        complexity_sweep(dense_space(), Evaluation(task, 3, 0),
+                         [100, 500, 2000, 10_000], iters=3, seed=0, n_init=3)
         assert len(scored) == 12
         assert sum(erf_rows) <= 0.4 * sum(scored)
 
@@ -639,8 +722,9 @@ class TestObjectiveReuse:
         monkeypatch.setattr(search, "kfold_score", counted)
         space = dense_space()
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
-        result = complexity_sweep(space, task, [100, 500, 2000, 10_000],
-                                  iters=3, seed=0, n_init=3, k=3)
+        result = complexity_sweep(space, Evaluation(task, 3, 0),
+                                  [100, 500, 2000, 10_000], iters=3, seed=0,
+                                  n_init=3)
         evaluated = {tuple(sorted(space.decode(t.theta).items()))
                      for history in result.histories for t in history}
         assert sum(len(h) for h in result.histories) > len(evaluated)
@@ -649,7 +733,7 @@ class TestObjectiveReuse:
     def test_repeat_returns_same_score_and_cost(self):
         space = conv_space()
         task = synth_task_fir([1.0], 0.0, 30, seed=0)
-        objective = search.make_objective(space, task, k=3)
+        objective = search.make_objective(space, Evaluation(task, 3))
         first = objective(np.array([0.2, 0.9, 0.5]))
         again = objective(np.array([0.21, 0.95, 0.6]))
         assert space.decode([0.2, 0.9, 0.5]) == space.decode([0.21, 0.95,
@@ -1329,7 +1413,7 @@ class TestTemplateMatchesReference:
     def test_objective_raises_the_reference_error(self):
         space = mixed_space()
         task = synth_task_fir([1.0], 0.0, 30, seed=0)
-        objective = search.make_objective(space, task, k=3)
+        objective = search.make_objective(space, Evaluation(task, 3))
         theta = [0.9, 0.9, 0.9]  # "bogus" activation
         assert space._key(theta)[0] == 2 and not space.feasible(theta)
         with pytest.raises(SchemaError) as err:
