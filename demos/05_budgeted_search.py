@@ -38,11 +38,11 @@ space = nc.SearchSpace(
 
 # Every candidate is scored under one protocol: the task, a 3-fold plan,
 # and the seed of both the fold shuffle and the fixed layer weights.
+# Budget i's search draws are seeded with that seed + i.
 evaluation = nc.Evaluation(task, folds=3, seed=0)
 
 budgets = [30_000, 120_000, 500_000, 2_000_000]
-result = nc.complexity_sweep(space, evaluation, budgets, iters=8, seed=0,
-                             n_init=4)
+result = nc.complexity_sweep(space, evaluation, budgets, iters=8, n_init=4)
 
 print(f"\n{'budget':>10} {'best score':>12} {'NABS':>10}  best params")
 for point in result.points:

@@ -27,8 +27,8 @@ import tempfile
 
 from . import bayesopt, costmodel, interp, quant, search
 from .arch import BitwidthConfig, parse_spec
-from .errors import (EmptyOutput, InfeasibleSpace, NNCostError, SchemaError,
-                     SpecSyntaxError, ValidationError)
+from .errors import (DomainError, EmptyOutput, InfeasibleSpace, NNCostError,
+                     SchemaError, SpecSyntaxError, ValidationError)
 
 
 def _emit(text: str, path: str | None):
@@ -131,10 +131,12 @@ def _space_and_evaluation(args) -> tuple[search.SearchSpace,
     """The space, and its task scored under --folds and --seed."""
     space = search.SearchSpace.from_json(_load_json(args.space))
     task = search.task_from_json(_load_json(args.task))
-    if not 2 <= args.folds <= task.targets.size:
+    try:
+        evaluation = search.Evaluation(task, args.folds, args.seed)
+    except DomainError as exc:
         raise SpecSyntaxError(f"--folds {args.folds} must satisfy 2 <= folds "
-                              f"<= n_samples ({task.targets.size})")
-    return space, search.Evaluation(task, args.folds, args.seed)
+                              f"<= n_samples ({task.targets.size})") from exc
+    return space, evaluation
 
 
 def cmd_search(args) -> int:
@@ -172,8 +174,7 @@ def cmd_sweep(args) -> int:
     if args.metric is not None:
         space = dataclasses.replace(space, metric=args.metric)
     result = search.complexity_sweep(space, evaluation, budgets,
-                                     iters=args.iters, seed=args.seed,
-                                     n_init=args.init)
+                                     iters=args.iters, n_init=args.init)
     _emit(result.to_csv(), args.output)
     best = max(result.points, key=lambda p: p.best_score)
     print(f"best over sweep: score {search.format_score(best.best_score)} "

@@ -745,12 +745,12 @@ class SweepResult:
 
 
 def complexity_sweep(space: SearchSpace, evaluation: Evaluation, budgets,
-                     iters: int, seed: int, n_init: int = 5) -> SweepResult:
+                     iters: int, n_init: int = 5) -> SweepResult:
     """One constrained optimization per budget, cheapest budget first.
 
     Every budget scores under ``evaluation``; budget point i derives its
-    search seed as seed + i, so points are independent and could run
-    concurrently. Raises InfeasibleSpace for budgets below the cheapest
+    search seed as evaluation.seed + i, so points are independent and could
+    run concurrently. Raises InfeasibleSpace for budgets below the cheapest
     candidate architecture.
     """
     budgets = list(budgets)
@@ -767,7 +767,7 @@ def complexity_sweep(space: SearchSpace, evaluation: Evaluation, budgets,
 
         best, history = bayesopt.bo_optimize(objective, space,
                                              max_iters=iters, n_init=n_init,
-                                             seed=seed + i,
+                                             seed=evaluation.seed + i,
                                              constraint=constraint)
         histories.append(tuple(history))
         points.append(SweepPoint(

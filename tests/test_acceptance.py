@@ -306,8 +306,7 @@ def test_criterion_10_constrained_sweep():
         for seed in range(20):
             result = search.complexity_sweep(space,
                                              search.Evaluation(task, 3, seed),
-                                             budgets, iters=3, seed=seed,
-                                             n_init=3)
+                                             budgets, iters=3, n_init=3)
             for budget, history in zip(budgets, result.histories):
                 assert all(t.cost["nabs"] <= budget for t in history), (
                     seed, budget)

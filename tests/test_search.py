@@ -396,7 +396,7 @@ class TestSweep:
         space = esn_space()
         task = synth_task_fir([0.8, 0.3], 0.05, 60, seed=4)
         result = complexity_sweep(space, Evaluation(task, 3, 1), [10 ** 8],
-                                  iters=2, seed=1, n_init=2)
+                                  iters=2, n_init=2)
         objective = search.make_objective(space, Evaluation(task, 3, 1))
         best, _ = bayesopt.bo_optimize(
             objective, space, max_iters=2, n_init=2, seed=1,
@@ -407,23 +407,22 @@ class TestSweep:
         space = esn_space()
         task = synth_task_fir([1.0], 0.0, 30, seed=0)
         with pytest.raises(InfeasibleSpace):
-            complexity_sweep(space, Evaluation(task), [0], iters=1, seed=0,
+            complexity_sweep(space, Evaluation(task), [0], iters=1,
                              n_init=1)
 
     def test_unsorted_budgets_rejected(self):
         space = esn_space()
         task = synth_task_fir([1.0], 0.0, 30, seed=0)
         with pytest.raises(DomainError):
-            complexity_sweep(space, Evaluation(task), [100, 50], iters=1,
-                             seed=0)
+            complexity_sweep(space, Evaluation(task), [100, 50], iters=1)
 
     def test_deterministic_csv(self):
         space = esn_space()
         task = synth_task_fir([0.8, 0.3], 0.05, 48, seed=4)
         a = complexity_sweep(space, Evaluation(task, 3, 2), [30_000, 10 ** 8],
-                             iters=2, seed=2, n_init=2).to_csv()
+                             iters=2, n_init=2).to_csv()
         b = complexity_sweep(space, Evaluation(task, 3, 2), [30_000, 10 ** 8],
-                             iters=2, seed=2, n_init=2).to_csv()
+                             iters=2, n_init=2).to_csv()
         assert a == b
 
     def test_constraint_soundness(self):
@@ -472,7 +471,7 @@ class TestCostMemo:
         seen = counted_cost_report(monkeypatch)
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
         complexity_sweep(dense_space(), Evaluation(task, 3, 0),
-                         [100, 500, 2000, 10_000], iters=3, seed=0, n_init=3)
+                         [100, 500, 2000, 10_000], iters=3, n_init=3)
         assert 0 < len(seen) <= 64
         assert len({arch.serialize(net) for net in seen}) == len(seen)
 
@@ -523,7 +522,7 @@ class TestCostMemo:
     def test_criterion_10_sweep_csv_pinned(self):
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
         csv = complexity_sweep(dense_space(), Evaluation(task, 3, 0),
-                               [100, 500, 2000, 10_000], iters=3, seed=0,
+                               [100, 500, 2000, 10_000], iters=3,
                                n_init=3).to_csv()
         assert sha256(csv) == ("6ec1508fe786a43455538e9c49f7e0cb"
                                "7327f0b2463643337b11cb514b5b5a78")
@@ -588,7 +587,7 @@ class TestCostMemo:
         monkeypatch.setattr(bayesopt, "_erf", counted_erf)
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
         complexity_sweep(dense_space(), Evaluation(task, 3, 0),
-                         [100, 500, 2000, 10_000], iters=3, seed=0, n_init=3)
+                         [100, 500, 2000, 10_000], iters=3, n_init=3)
         assert len(scored) == 12
         assert sum(erf_rows) <= 0.4 * sum(scored)
 
@@ -723,7 +722,7 @@ class TestObjectiveReuse:
         space = dense_space()
         task = synth_task_fir([1.0, 0.4, 0.2], 0.05, 160, seed=88)
         result = complexity_sweep(space, Evaluation(task, 3, 0),
-                                  [100, 500, 2000, 10_000], iters=3, seed=0,
+                                  [100, 500, 2000, 10_000], iters=3,
                                   n_init=3)
         evaluated = {tuple(sorted(space.decode(t.theta).items()))
                      for history in result.histories for t in history}
